@@ -6,102 +6,4 @@ probability) with a bit-level Monte Carlo fault simulator, plus the
 calibration layer that connects the two and a CLI for sweeps.
 """
 
-from .ancilla import (
-    AncillaCircuit,
-    accepted_distribution,
-    build_verified_plus_circuit,
-    default_circuit,
-    prepare_verified_ancilla,
-    single_fault_audit,
-    strip_verification,
-)
-from .calibration import (
-    CalibrationPoint,
-    CalibrationResult,
-    calibrate,
-    fit_linear,
-    measure_second_error_rate,
-    measure_single_error_passthrough_rate,
-)
-from .faultsim import (
-    PlEstimate,
-    SimulationAbort,
-    TrajectoryConfig,
-    estimate_pl_mc,
-    qec_round,
-    run_trajectory,
-    wilson_interval,
-)
-from .model import (
-    AbstractRates,
-    ApproxCoefficients,
-    Schedule,
-    approx_coefficients,
-    gamma,
-    gamma3,
-    grid_argmin,
-    m_min,
-    pairwise_fault_oracle,
-    pl_second_order,
-    table_contributions,
-)
-from .noise import (
-    NoiseParams,
-    bit_error_rates,
-    sample_one_qubit_fault,
-    sample_two_qubit_fault,
-)
-from .steane import (
-    apply_ideal_qec,
-    decode_syndrome,
-    pattern_from_qubits,
-    pattern_weight,
-    residual_is_logical,
-    syndrome_of,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AbstractRates",
-    "AncillaCircuit",
-    "ApproxCoefficients",
-    "CalibrationPoint",
-    "CalibrationResult",
-    "NoiseParams",
-    "PlEstimate",
-    "Schedule",
-    "SimulationAbort",
-    "TrajectoryConfig",
-    "accepted_distribution",
-    "apply_ideal_qec",
-    "approx_coefficients",
-    "bit_error_rates",
-    "build_verified_plus_circuit",
-    "calibrate",
-    "decode_syndrome",
-    "default_circuit",
-    "estimate_pl_mc",
-    "fit_linear",
-    "gamma",
-    "gamma3",
-    "grid_argmin",
-    "m_min",
-    "measure_second_error_rate",
-    "measure_single_error_passthrough_rate",
-    "pairwise_fault_oracle",
-    "pattern_from_qubits",
-    "pattern_weight",
-    "pl_second_order",
-    "prepare_verified_ancilla",
-    "qec_round",
-    "residual_is_logical",
-    "run_trajectory",
-    "sample_one_qubit_fault",
-    "sample_two_qubit_fault",
-    "single_fault_audit",
-    "strip_verification",
-    "syndrome_of",
-    "table_contributions",
-    "wilson_interval",
-]

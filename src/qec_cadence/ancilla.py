@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .noise import NoiseParams
+from .noise import NoiseParams, sample_two_qubit_fault
 from .steane import SYNDROME, WEIGHT
 
 
@@ -163,18 +163,12 @@ def simulate_once(
     """
     state = 0
     accepted = True
-    p_cx = 4.0 * noise.eps / 15.0
     for op in circuit.ops:
         if op.kind == "cx":
             c, t = op.qubits
             state ^= ((state >> c) & 1) << t
-            u = rng.random()
-            if u < p_cx:
-                state ^= 1 << c
-            elif u < 2.0 * p_cx:
-                state ^= 1 << t
-            elif u < 3.0 * p_cx:
-                state ^= (1 << c) | (1 << t)
+            on_c, on_t = sample_two_qubit_fault(rng, noise)
+            state ^= (on_c << c) | (on_t << t)
         elif op.kind == "measure":
             q = op.qubits[0]
             bit = (state >> q) & 1
@@ -229,7 +223,7 @@ def accepted_distribution(
     idx = np.arange(size)
     dist = np.zeros(size)
     dist[0] = 1.0
-    p_cx = 4.0 * noise.eps / 15.0
+    p_cx = noise.cnot_flip
 
     def flip(d, mask, p):
         if p == 0.0:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .ancilla import AncillaCircuit, accepted_distribution, default_circuit
 from .faultsim import sample_round_outputs, wilson_interval
-from .model import AbstractRates
+from .model import AbstractRates, rates_at
 from .noise import NoiseParams
 from .steane import RESIDUAL_LOGICAL, WEIGHT
 
@@ -109,16 +109,6 @@ def _mean_rates(positions) -> tuple[float, float]:
     return two, one
 
 
-def measure_second_error_rate(eps: float, shots: int, **kwargs) -> float:
-    """P(output decodes to a logical flip | one input error), position mean."""
-    return _mean_rates(measure_position_rates(eps, shots, **kwargs))[0]
-
-
-def measure_single_error_passthrough_rate(eps: float, shots: int, **kwargs) -> float:
-    """P(output has exactly one error | one input error), position mean."""
-    return _mean_rates(measure_position_rates(eps, shots, **kwargs))[1]
-
-
 @dataclass(frozen=True)
 class CalibrationPoint:
     eps_g: float
@@ -153,15 +143,18 @@ class CalibrationResult:
     eps_d_coeff: float = EPS_D_COEFF
     clamp_warnings: tuple[str, ...] = field(default=())
 
+    @property
+    def coefficients(self) -> dict:
+        """The fitted rates per eps_g, in the keys model.rates_at reads."""
+        return {
+            "eps_s_per_eps_g": self.eps_s_coeff,
+            "eps_o_per_eps_g": self.eps_o_coeff,
+            "eps_c_per_eps_g": self.eps_c_coeff,
+            "eps_d_per_eps_g": self.eps_d_coeff,
+        }
+
     def rates_at(self, eps_g: float, eps_a: float = 0.0) -> AbstractRates:
-        return AbstractRates(
-            eps_g=eps_g,
-            eps_a=eps_a,
-            eps_s=self.eps_s_coeff * eps_g,
-            eps_o=self.eps_o_coeff * eps_g,
-            eps_c=self.eps_c_coeff * eps_g,
-            eps_d=self.eps_d_coeff * eps_g,
-        )
+        return rates_at(self.coefficients, eps_g, eps_a)
 
     def to_record(self) -> dict:
         return {
@@ -170,10 +163,7 @@ class CalibrationResult:
             "slope_co": self.slope_co,
             "slope_sd_ci": list(self.slope_sd_ci),
             "slope_co_ci": list(self.slope_co_ci),
-            "eps_s_per_eps_g": self.eps_s_coeff,
-            "eps_o_per_eps_g": self.eps_o_coeff,
-            "eps_c_per_eps_g": self.eps_c_coeff,
-            "eps_d_per_eps_g": self.eps_d_coeff,
+            **self.coefficients,
             "clamp_warnings": list(self.clamp_warnings),
             "points": [p.to_record() for p in self.points],
         }

@@ -23,12 +23,12 @@ import numpy as np
 from .calibration import CalibrationResult, calibrate
 from .faultsim import SimulationAbort, TrajectoryConfig, estimate_pl_mc
 from .model import (
-    AbstractRates,
     Schedule,
     approx_coefficients,
     grid_argmin,
     m_min,
     pl_second_order,
+    rates_at,
 )
 from .noise import NoiseParams
 from .selfcheck import run_self_checks
@@ -191,23 +191,7 @@ def rate_coefficients(config: Config) -> dict:
         raise ConfigError(
             f"cannot load calibration record {record_path}: {exc}"
         ) from exc
-    return {
-        "eps_s_per_eps_g": result.eps_s_coeff,
-        "eps_o_per_eps_g": result.eps_o_coeff,
-        "eps_c_per_eps_g": result.eps_c_coeff,
-        "eps_d_per_eps_g": result.eps_d_coeff,
-    }
-
-
-def rates_at(coeffs: dict, eps_g: float, eps_a: float) -> AbstractRates:
-    return AbstractRates(
-        eps_g=eps_g,
-        eps_a=eps_a,
-        eps_s=coeffs["eps_s_per_eps_g"] * eps_g,
-        eps_o=coeffs["eps_o_per_eps_g"] * eps_g,
-        eps_c=coeffs["eps_c_per_eps_g"] * eps_g,
-        eps_d=coeffs["eps_d_per_eps_g"] * eps_g,
-    )
+    return result.coefficients
 
 
 def derive_seed(master_seed: int, index: int) -> int:
@@ -368,7 +352,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--threads", type=int, default=None,
-                        help="worker count (default: hardware parallelism)")
+                        help="worker count of sweep (default: hardware "
+                             "parallelism); calibrate, mmin and check run on "
+                             "one core")
     parser.add_argument("--seed", type=int, default=None,
                         help="master seed; overrides QEC_CADENCE_SEED and config")
     parser.add_argument("--out", default=None, help="output path")

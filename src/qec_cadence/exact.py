@@ -11,15 +11,10 @@ from __future__ import annotations
 import numpy as np
 
 from .ancilla import AncillaCircuit, accepted_distribution, default_circuit
-from .noise import NoiseParams
+from .noise import NoiseParams, parity_flip_prob
 from .steane import DECODE, N_PATTERNS, RESIDUAL_LOGICAL, SYNDROME, WEIGHT
 
 _IDX = np.arange(N_PATTERNS)
-
-
-def parity_flip_prob(p: float, repeats: int) -> float:
-    """Net flip probability of `repeats` independent Bernoulli(p) flips."""
-    return 0.5 * (1.0 - (1.0 - 2.0 * p) ** repeats)
 
 
 def convolve_bit_flips(dist: np.ndarray, probs) -> np.ndarray:
@@ -55,7 +50,7 @@ def syndrome_extraction_transfer(
     for u in range(N_PATTERNS):
         np.add.at(q_table[u], SYNDROME[_IDX ^ u], anc)
 
-    p = 4.0 * noise.eps / 15.0  # each CNOT X class: control, target, both
+    p = noise.cnot_flip
     p_af = 2.0 * p  # marginal target-side flip per qubit
     # conditional data-side flip probability given the target-side bit
     p_df_given = (p / (1.0 - 2.0 * p) if p_af < 1.0 else 0.5, 0.5)
@@ -105,8 +100,12 @@ def logical_error_exact(
     n_gates gates in blocks of m, a skippable round after each block, then
     an ideal final decode.  Matches what estimate_pl_mc samples.
     """
+    if n_gates < 1 or m < 1:
+        raise ValueError(f"n_gates and m must be positive, got {n_gates}, {m}")
     if n_gates % m != 0:
-        raise ValueError("n_gates must be divisible by m")
+        raise ValueError(f"m={m} must divide n_gates={n_gates}")
+    if not 0.0 <= eps_a <= 1.0:
+        raise ValueError(f"eps_a must be in [0, 1], got {eps_a}")
     transfer = syndrome_extraction_transfer(noise, circuit)
     gate_flip = parity_flip_prob(noise.eps_g, m)
     dist = np.zeros(N_PATTERNS)

@@ -34,7 +34,12 @@ from .ancilla import (
     default_circuit,
     prepare_verified_ancilla,
 )
-from .noise import NoiseParams, sample_one_qubit_fault, sample_two_qubit_fault
+from .noise import (
+    NoiseParams,
+    parity_flip_prob,
+    sample_one_qubit_fault,
+    sample_two_qubit_fault,
+)
 from .steane import DECODE, RESIDUAL_LOGICAL, SYNDROME
 
 RETRY_CAP = 1000
@@ -125,7 +130,7 @@ def qec_round(
     data = pattern
     measured = anc ^ pattern  # ideal transversal copy of the data frame
     for q in range(7):
-        on_data, on_anc = sample_two_qubit_fault(rng, noise.eps)
+        on_data, on_anc = sample_two_qubit_fault(rng, noise)
         data ^= on_data << q
         measured ^= on_anc << q
     for q in range(7):
@@ -144,7 +149,7 @@ def run_trajectory(
     for _ in range(cfg.blocks):
         for _ in range(cfg.m):
             for q in range(7):
-                data ^= sample_one_qubit_fault(rng, cfg.noise.eps) << q
+                data ^= sample_one_qubit_fault(rng, cfg.noise) << q
         skip = rng.random() < cfg.eps_a
         data = qec_round(data, rng, cfg.noise, skip=skip, circuit=circuit)
     return bool(RESIDUAL_LOGICAL[data])
@@ -160,15 +165,17 @@ def _pack_bits(mask: np.ndarray) -> np.ndarray:
 
 
 def sample_round_outputs(
-    pattern: int,
+    pattern: int | np.ndarray,
     shots: int,
     rng: np.random.Generator,
     noise: NoiseParams,
     anc_cumulative: np.ndarray,
 ) -> np.ndarray:
-    """Vectorized qec_round: `shots` outputs for one fixed input pattern.
+    """Vectorized qec_round: `shots` outputs of one performed round.
 
-    anc_cumulative is the cumulative accepted-ancilla distribution from
+    `pattern` is one input pattern for every shot, or a uint8 array with one
+    input per shot.  Draw order: ancilla, coupling, readout.  anc_cumulative
+    is the cumulative accepted-ancilla distribution from
     accepted_distribution(...).probs.cumsum().
     """
     u_anc = rng.random(shots)
@@ -177,12 +184,13 @@ def sample_round_outputs(
     anc = np.minimum(
         np.searchsorted(anc_cumulative, u_anc, side="right"), 127
     ).astype(np.uint8)
-    p = 4.0 * noise.eps / 15.0
+    p = noise.cnot_flip
     on_data = _pack_bits((u_cx < p) | ((u_cx >= 2 * p) & (u_cx < 3 * p)))
     on_anc = _pack_bits((u_cx >= p) & (u_cx < 3 * p))
     meas = _pack_bits(u_meas < noise.meas_flip)
-    measured = anc ^ np.uint8(pattern) ^ on_anc ^ meas
-    return (np.uint8(pattern) ^ on_data) ^ DECODE[SYNDROME[measured]]
+    pattern = np.uint8(pattern)
+    measured = anc ^ pattern ^ on_anc ^ meas
+    return (pattern ^ on_data) ^ DECODE[SYNDROME[measured]]
 
 
 def _batch_extent(cfg: TrajectoryConfig, batch_index: int) -> int:
@@ -198,28 +206,15 @@ def _simulate_batch(
     rng = np.random.default_rng(
         np.random.SeedSequence([cfg.master_seed, batch_index])
     )
-    noise = cfg.noise
-    p_gate = 0.5 * (1.0 - (1.0 - 2.0 * noise.eps_g) ** cfg.m)
-    p = 4.0 * noise.eps / 15.0
-    meas_flip = noise.meas_flip
+    p_gate = parity_flip_prob(cfg.noise.eps_g, cfg.m)
     data = np.zeros(n, dtype=np.uint8)
     for _ in range(cfg.blocks):
-        # fixed draw order per block: gates, skip, ancilla, coupling, readout
+        # fixed draw order per block: gates, skip, then the round's
+        # ancilla, coupling and readout draws in sample_round_outputs
         u_gate = rng.random((n, 7))
         u_skip = rng.random(n)
-        u_anc = rng.random(n)
-        u_cx = rng.random((n, 7))
-        u_meas = rng.random((n, 7))
-
         data ^= _pack_bits(u_gate < p_gate)
-        anc = np.minimum(
-            np.searchsorted(anc_cumulative, u_anc, side="right"), 127
-        ).astype(np.uint8)
-        on_data = _pack_bits((u_cx < p) | ((u_cx >= 2 * p) & (u_cx < 3 * p)))
-        on_anc = _pack_bits((u_cx >= p) & (u_cx < 3 * p))
-        meas = _pack_bits(u_meas < meas_flip)
-        measured = anc ^ data ^ on_anc ^ meas
-        corrected = (data ^ on_data) ^ DECODE[SYNDROME[measured]]
+        corrected = sample_round_outputs(data, n, rng, cfg.noise, anc_cumulative)
         data = np.where(u_skip < cfg.eps_a, data, corrected)
     return int(np.count_nonzero(RESIDUAL_LOGICAL[data]))
 

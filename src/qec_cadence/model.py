@@ -57,6 +57,18 @@ class AbstractRates:
         )
 
 
+def rates_at(coeffs: dict, eps_g: float, eps_a: float = 0.0) -> AbstractRates:
+    """Rates at eps_g from per-eps_g coefficients, keyed `eps_s_per_eps_g` etc."""
+    return AbstractRates(
+        eps_g=eps_g,
+        eps_a=eps_a,
+        eps_s=coeffs["eps_s_per_eps_g"] * eps_g,
+        eps_o=coeffs["eps_o_per_eps_g"] * eps_g,
+        eps_c=coeffs["eps_c_per_eps_g"] * eps_g,
+        eps_d=coeffs["eps_d_per_eps_g"] * eps_g,
+    )
+
+
 @dataclass(frozen=True)
 class Schedule:
     """N logical gates in blocks of m, one QEC opportunity per block."""

@@ -8,7 +8,7 @@ component of each side is kept.  Of the 15 pairs, 4 flip the control only,
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,6 +56,11 @@ class NoiseParams:
     def wait_flip(self) -> float:
         return self.wait_scale * self.eps_g if self.include_wait_error else 0.0
 
+    @property
+    def cnot_flip(self) -> float:
+        """Probability of each X-carrying CNOT class: control, target, both."""
+        return 4.0 * self.eps / 15.0
+
     @classmethod
     def from_eps_g(cls, eps_g: float, **kwargs) -> "NoiseParams":
         return cls(eps=1.5 * eps_g, **kwargs)
@@ -76,18 +81,26 @@ def bit_error_rates(eps: float) -> tuple[float, float, float]:
     return eps_g, eps_c, eps_d
 
 
-def sample_one_qubit_fault(rng: np.random.Generator, eps: float) -> int:
+def parity_flip_prob(p: float, repeats: int) -> float:
+    """Net flip probability of `repeats` independent Bernoulli(p) flips."""
+    return 0.5 * (1.0 - (1.0 - 2.0 * p) ** repeats)
+
+
+def sample_one_qubit_fault(rng: np.random.Generator, noise: NoiseParams) -> int:
     """X component (0/1) of one noisy one-qubit gate."""
-    return int(rng.random() < 2.0 * eps / 3.0)
+    return int(rng.random() < noise.eps_g)
 
 
-def sample_two_qubit_fault(rng: np.random.Generator, eps: float) -> tuple[int, int]:
+def sample_two_qubit_fault(
+    rng: np.random.Generator, noise: NoiseParams
+) -> tuple[int, int]:
     """(control X, target X) components of one noisy CNOT.
 
-    P(1,0) = P(0,1) = P(1,1) = 4*eps/15; the remaining fault mass is pure Z.
+    P(1,0) = P(0,1) = P(1,1) = noise.cnot_flip; the remaining fault mass is
+    pure Z.
     """
     u = rng.random()
-    p = 4.0 * eps / 15.0
+    p = noise.cnot_flip
     if u < p:
         return 1, 0
     if u < 2.0 * p:
@@ -95,25 +108,3 @@ def sample_two_qubit_fault(rng: np.random.Generator, eps: float) -> tuple[int, i
     if u < 3.0 * p:
         return 1, 1
     return 0, 0
-
-
-@dataclass(frozen=True)
-class CnotFaultProbs:
-    """Cumulative thresholds for vectorized 4-way CNOT fault sampling."""
-
-    control_only: float
-    target_only: float
-    both: float
-    cuts: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "cuts",
-            np.cumsum([self.control_only, self.target_only, self.both]),
-        )
-
-    @classmethod
-    def from_eps(cls, eps: float) -> "CnotFaultProbs":
-        p = 4.0 * eps / 15.0
-        return cls(control_only=p, target_only=p, both=p)

@@ -15,8 +15,6 @@ from qec_cadence.calibration import (
     calibrate,
     fit_linear,
     measure_position_rates,
-    measure_second_error_rate,
-    measure_single_error_passthrough_rate,
 )
 from qec_cadence.exact import single_round_rates
 from qec_cadence.noise import NoiseParams
@@ -45,8 +43,8 @@ class TestFitLinear:
 
 class TestRateMeasurement:
     def test_zero_noise_measures_zero(self):
-        assert measure_second_error_rate(0.0, 7000) == 0.0
-        assert measure_single_error_passthrough_rate(0.0, 7000) == 0.0
+        positions = measure_position_rates(0.0, 7000)
+        assert calibration._mean_rates(positions) == (0.0, 0.0)
 
     def test_position_bookkeeping(self):
         positions = measure_position_rates(1e-3, 7001, seed=9)
@@ -71,8 +69,8 @@ class TestRateMeasurement:
         eps = 3e-3
         shots = 700_000
         exact_two, exact_one = single_round_rates(NoiseParams(eps=eps))
-        mc_two = measure_second_error_rate(eps, shots, seed=11)
-        mc_one = measure_single_error_passthrough_rate(eps, shots, seed=11)
+        positions = measure_position_rates(eps, shots, seed=11)
+        mc_two, mc_one = calibration._mean_rates(positions)
         sig_two = np.sqrt(exact_two * (1 - exact_two) / shots)
         sig_one = np.sqrt(exact_one * (1 - exact_one) / shots)
         assert abs(mc_two - exact_two) < 4 * sig_two

@@ -135,6 +135,17 @@ class TestEndToEnd:
         with pytest.raises(ValueError):
             logical_error_exact(NoiseParams(eps=0.01), 0.0, 10, 3)
 
+    @pytest.mark.parametrize(
+        "eps_a, n_gates, m",
+        [(-0.5, 100, 1), (1.5, 100, 1), (float("nan"), 100, 1),
+         (0.0, 0, 1), (0.0, 100, 0), (0.0, -10, 5), (0.0, 100, -1)],
+    )
+    def test_rejects_what_trajectory_config_rejects(self, eps_a, n_gates, m):
+        # same ranges as TrajectoryConfig: n_gates >= 1, m >= 1, m divides
+        # n_gates, 0 <= eps_a <= 1; no silent number, no ZeroDivisionError
+        with pytest.raises(ValueError):
+            logical_error_exact(NoiseParams.from_eps_g(1e-4), eps_a, n_gates, m)
+
     def test_more_noise_means_more_failures(self):
         lo = logical_error_exact(NoiseParams(eps=1e-3), 0.3, 40, 5)
         hi = logical_error_exact(NoiseParams(eps=4e-3), 0.3, 40, 5)

@@ -3,7 +3,6 @@ import numpy as np
 import pytest
 
 from qec_cadence.noise import (
-    CnotFaultProbs,
     NoiseParams,
     bit_error_rates,
     sample_one_qubit_fault,
@@ -70,6 +69,12 @@ class TestNoiseParams:
             pytest.approx(0.1, rel=1e-15)
         assert NoiseParams(eps=0.15, include_wait_error=False).wait_flip == 0.0
 
+    def test_cnot_flip_is_four_fifteenths_of_eps(self):
+        # each X-carrying CNOT class (control, target, both) carries 4 of
+        # the 15 equally likely Pauli pairs
+        assert NoiseParams(eps=0.15).cnot_flip == pytest.approx(0.04, rel=1e-15)
+        assert NoiseParams(eps=0.0).cnot_flip == 0.0
+
     def test_validation(self):
         with pytest.raises(ValueError):
             NoiseParams(eps=-0.1)
@@ -90,24 +95,26 @@ class TestSamplers:
     def test_one_qubit_fault_frequency(self):
         rng = np.random.default_rng(7)
         eps, n = 0.15, 200_000
-        hits = sum(sample_one_qubit_fault(rng, eps) for _ in range(n))
+        noise = NoiseParams(eps=eps)
+        hits = sum(sample_one_qubit_fault(rng, noise) for _ in range(n))
         p = 2 * eps / 3
         sigma = np.sqrt(n * p * (1 - p))
         assert abs(hits - n * p) < 4 * sigma
 
     def test_one_qubit_fault_extremes(self):
         rng = np.random.default_rng(0)
-        assert sample_one_qubit_fault(rng, 0.0) == 0
-        assert sample_one_qubit_fault(rng, 1.0) in (0, 1)
+        assert sample_one_qubit_fault(rng, NoiseParams(eps=0.0)) == 0
+        assert sample_one_qubit_fault(rng, NoiseParams(eps=1.0)) in (0, 1)
 
     def test_two_qubit_fault_class_frequencies(self):
         # each X-carrying class (control only, target only, both) occurs
         # with probability 4*eps/15; check all three at 4 sigma
         rng = np.random.default_rng(11)
         eps, n = 0.15, 1_000_000
+        noise = NoiseParams(eps=eps)
         counts = {(1, 0): 0, (0, 1): 0, (1, 1): 0, (0, 0): 0}
         for _ in range(n):
-            counts[sample_two_qubit_fault(rng, eps)] += 1
+            counts[sample_two_qubit_fault(rng, noise)] += 1
         p = 4 * eps / 15
         sigma = np.sqrt(n * p * (1 - p))
         for cls in ((1, 0), (0, 1), (1, 1)):
@@ -119,21 +126,4 @@ class TestSamplers:
     def test_two_qubit_fault_zero_strength_is_silent(self):
         rng = np.random.default_rng(3)
         for _ in range(100):
-            assert sample_two_qubit_fault(rng, 0.0) == (0, 0)
-
-
-class TestCnotFaultProbs:
-    def test_cumulative_thresholds(self):
-        probs = CnotFaultProbs.from_eps(0.15)
-        p = 4 * 0.15 / 15
-        assert probs.cuts == pytest.approx([p, 2 * p, 3 * p], rel=1e-15)
-
-    def test_threshold_classification_matches_scalar_sampler(self):
-        # the vectorized path classifies a uniform u by searchsorted on
-        # cuts; bucket k must mean the same fault as the scalar sampler
-        eps = 0.12
-        probs = CnotFaultProbs.from_eps(eps)
-        p = 4 * eps / 15
-        us = np.array([0.5 * p, 1.5 * p, 2.5 * p, 3.5 * p])
-        buckets = np.searchsorted(probs.cuts, us, side="right")
-        assert list(buckets) == [0, 1, 2, 3]
+            assert sample_two_qubit_fault(rng, NoiseParams(eps=0.0)) == (0, 0)
