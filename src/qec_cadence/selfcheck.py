@@ -4,14 +4,19 @@ Each check is cheap (a few seconds total), needs no configuration, and
 exercises a different cross-validation seam: closed forms against direct
 summation, the itemized table against the total, the independent pair
 enumeration against the closed form, the code tables against brute force,
-and the preparation circuit against the single-fault audit.
+the preparation circuit against the single-fault audit, and the batch
+sampler against the exact evaluator.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import model, steane
 from .ancilla import default_circuit, single_fault_audit, strip_verification
+from .exact import logical_error_exact
+from .faultsim import TrajectoryConfig, estimate_pl_mc
+from .noise import NoiseParams
 
 
 @dataclass(frozen=True)
@@ -123,6 +128,23 @@ def _check_ancilla_audit() -> CheckResult:
     )
 
 
+def _check_sampler_vs_exact() -> CheckResult:
+    # fixed seed, so the verdict is deterministic; P_L ~ 2e-2 at this
+    # noise, so 20000 shots resolve it to ~5% relative
+    cfg = TrajectoryConfig(
+        n_gates=40, m=4, eps_a=0.3, noise=NoiseParams.from_eps_g(1e-3),
+        shots=20_000, master_seed=20_240_601,
+    )
+    p_mc = estimate_pl_mc(cfg).p_hat
+    p_exact = logical_error_exact(cfg.noise, cfg.eps_a, cfg.n_gates, cfg.m)
+    z = (p_mc - p_exact) / math.sqrt(p_exact * (1.0 - p_exact) / cfg.shots)
+    return CheckResult(
+        "sampler-vs-exact",
+        abs(z) < 4.0,
+        f"Monte Carlo {p_mc:.4e} vs exact {p_exact:.4e} (z = {z:+.2f})",
+    )
+
+
 def run_self_checks() -> list[CheckResult]:
     return [
         _check_gamma_sums(),
@@ -130,4 +152,5 @@ def run_self_checks() -> list[CheckResult]:
         _check_pairwise_oracle(),
         _check_code_tables(),
         _check_ancilla_audit(),
+        _check_sampler_vs_exact(),
     ]

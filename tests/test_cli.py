@@ -332,8 +332,8 @@ class TestCheckCommand:
     def test_healthy_install_passes(self, capsys):
         assert main(["check"]) == 0
         out = capsys.readouterr().out
-        assert out.count("PASS") == 5
-        assert "5/5 checks passed" in out
+        assert out.count("PASS") == 6
+        assert "6/6 checks passed" in out
 
     def test_failure_exits_1(self, capsys, monkeypatch):
         monkeypatch.setattr(

@@ -4,10 +4,13 @@ These routines are the ground truth the Monte Carlo path is checked
 against, so they get their own independent checks: degenerate limits,
 stochasticity, and closed forms where the physics collapses to one.
 """
+import time
+
 import numpy as np
 import pytest
 
-from qec_cadence import steane
+from qec_cadence import exact, steane
+from qec_cadence.ancilla import default_circuit, strip_verification
 from qec_cadence.cli import BUILTIN_COEFFS, rates_at
 from qec_cadence.exact import (
     block_output_distribution,
@@ -25,6 +28,15 @@ def delta0():
     d = np.zeros(128)
     d[0] = 1.0
     return d
+
+
+def block_by_block(noise, transfer, eps_a, n_gates, m):
+    """P_L from n_gates // m steps of block_output_distribution."""
+    gate_flip = parity_flip_prob(noise.eps_g, m)
+    dist = delta0()
+    for _ in range(n_gates // m):
+        dist = block_output_distribution(dist, transfer, gate_flip, eps_a)
+    return float(dist[steane.RESIDUAL_LOGICAL].sum())
 
 
 class TestParityFlip:
@@ -150,6 +162,82 @@ class TestEndToEnd:
         lo = logical_error_exact(NoiseParams(eps=1e-3), 0.3, 40, 5)
         hi = logical_error_exact(NoiseParams(eps=4e-3), 0.3, 40, 5)
         assert 0 < lo < hi
+
+
+class TestKernelPower:
+    # The run is one power of the block kernel; these hold it to the
+    # one-block-at-a-time reference.  At eps = 1e-2 a kernel that applied
+    # the gate layer only on performed rounds reads 6-25% low at
+    # eps_a = 0.3.  The order of G and T within a block does not show from
+    # the clean state, so no test here leans on it.
+
+    @pytest.mark.parametrize("eps", [1e-4, 1e-2])
+    def test_power_equals_block_by_block(self, eps):
+        noise = NoiseParams(eps=eps)
+        transfer = syndrome_extraction_transfer(noise)
+        for eps_a in (0.0, 0.3, 1.0):
+            for m in (1, 3, 5):
+                for n_gates in (15, 30):
+                    assert logical_error_exact(
+                        noise, eps_a, n_gates, m
+                    ) == pytest.approx(
+                        block_by_block(noise, transfer, eps_a, n_gates, m),
+                        rel=1e-12,
+                    ), (eps_a, m, n_gates)
+
+    def test_power_equals_block_by_block_without_verification(self):
+        noise = NoiseParams(eps=1e-2)
+        circuit = strip_verification(default_circuit())
+        transfer = syndrome_extraction_transfer(noise, circuit)
+        for eps_a in (0.0, 0.3):
+            for m in (1, 3, 5):
+                assert logical_error_exact(
+                    noise, eps_a, 30, m, circuit
+                ) == pytest.approx(
+                    block_by_block(noise, transfer, eps_a, 30, m), rel=1e-12
+                ), (eps_a, m)
+
+    def test_criterion_7_scan_is_fast(self):
+        # the exact half of acceptance criterion 7: 264 evaluations over 3
+        # noise settings, from an empty transfer cache
+        exact._cached_transfer.cache_clear()
+        t0 = time.perf_counter()
+        for eps_g in (5e-5, 1e-4, 3e-4):
+            noise = NoiseParams.from_eps_g(eps_g)
+            for k in range(11):
+                for m in range(1, 9):
+                    logical_error_exact(noise, k * 0.05, 840, m)
+        assert time.perf_counter() - t0 < 5.0
+
+
+class TestTransferCache:
+    def test_cached_transfer_is_read_only(self):
+        t = exact._transfer(NoiseParams(eps=1e-3), None)
+        assert not t.flags.writeable
+        with pytest.raises(ValueError):
+            t[0, 0] = 0.5
+
+    def test_writing_a_returned_transfer_leaves_the_cache_alone(self):
+        noise = NoiseParams(eps=1e-3)
+        before = logical_error_exact(noise, 0.3, 30, 3)
+        rates_before = single_round_rates(noise)
+        t = syndrome_extraction_transfer(noise)
+        assert t.flags.writeable
+        t[:] = 0.0
+        t[:, 127] = 1.0  # every round leaves all seven qubits flipped
+        assert logical_error_exact(noise, 0.3, 30, 3) == before
+        assert single_round_rates(noise) == rates_before
+
+    def test_noise_settings_and_circuits_get_their_own_entries(self):
+        with_meas = NoiseParams(eps=1e-2)
+        without_meas = NoiseParams(eps=1e-2, include_meas_error=False)
+        assert logical_error_exact(with_meas, 0.3, 30, 3) != logical_error_exact(
+            without_meas, 0.3, 30, 3
+        )
+        stripped = strip_verification(default_circuit())
+        assert logical_error_exact(with_meas, 0.3, 30, 3) != logical_error_exact(
+            with_meas, 0.3, 30, 3, stripped
+        )
 
 
 class TestSingleRoundRates:

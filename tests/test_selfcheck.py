@@ -4,7 +4,7 @@ from qec_cadence.selfcheck import CheckResult, run_self_checks
 
 def test_all_checks_pass():
     results = run_self_checks()
-    assert len(results) == 5
+    assert len(results) == 6
     for r in results:
         assert isinstance(r, CheckResult)
         assert r.passed, f"{r.name}: {r.detail}"
