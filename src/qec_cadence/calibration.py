@@ -27,7 +27,7 @@ import numpy as np
 
 from .ancilla import AncillaCircuit, accepted_distribution, default_circuit
 from .faultsim import sample_round_outputs, wilson_interval
-from .model import AbstractRates, rates_at
+from .model import AbstractRates, as_count, rates_at
 from .noise import NoiseParams
 from .steane import RESIDUAL_LOGICAL, WEIGHT
 
@@ -81,7 +81,7 @@ def measure_position_rates(
     input_patterns=SINGLE_ERROR_INPUTS,
 ) -> list[PositionRates]:
     """Run the protocol once per input pattern; shots split evenly."""
-    if shots < len(input_patterns):
+    if as_count("shots", shots) < len(input_patterns):
         raise ValueError("need at least one shot per input pattern")
     circuit = circuit or default_circuit()
     noise = NoiseParams(eps=eps, **(noise_options or {}))

@@ -16,11 +16,18 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .calibration import CalibrationResult, calibrate
+from .calibration import (
+    DEFAULT_EPS_G_GRID,
+    DEFAULT_SHOTS,
+    EPS_C_COEFF,
+    EPS_D_COEFF,
+    CalibrationResult,
+    calibrate,
+)
 from .faultsim import SimulationAbort, TrajectoryConfig, estimate_pl_mc
 from .model import (
     Schedule,
@@ -44,16 +51,12 @@ CSV_HEADER = (
 BUILTIN_COEFFS = {
     "eps_s_per_eps_g": 3.45,
     "eps_o_per_eps_g": 0.61,
-    "eps_c_per_eps_g": 0.4,
-    "eps_d_per_eps_g": 0.4,
+    "eps_c_per_eps_g": EPS_C_COEFF,
+    "eps_d_per_eps_g": EPS_D_COEFF,
 }
 
 DEFAULT_NOISE_OPTIONS = {
-    "include_meas_error": True,
-    "p_meas": None,
-    "include_init_error": True,
-    "include_wait_error": True,
-    "wait_scale": 1.0 / 3.0,
+    f.name: f.default for f in fields(NoiseParams) if f.name != "eps"
 }
 
 DEFAULT_SWEEP = {
@@ -72,8 +75,8 @@ DEFAULT_MMIN = {
 }
 
 DEFAULT_CALIBRATION = {
-    "eps_g_grid": [1e-5, 5e-5, 1e-4, 5e-4, 1e-3],
-    "shots": 1_000_000,
+    "eps_g_grid": list(DEFAULT_EPS_G_GRID),
+    "shots": DEFAULT_SHOTS,
     "normalization": "per_spectator",
 }
 
@@ -219,46 +222,42 @@ def _write_text(path: str, text: str) -> None:
 def cmd_sweep(config: Config, seed: int, threads: int, out: str | None) -> int:
     section = config.sweep
     n_gates = section["n_gates"]
-    shots = section["shots"]
     if not section["eps_g"] or not section["eps_a"] or not section["m"]:
         raise ConfigError("sweep grids must be nonempty")
-    if shots < 1:
-        raise ConfigError("sweep shots must be >= 1")
-    for m in section["m"]:
-        if n_gates % m != 0:
-            raise ConfigError(f"sweep m={m} does not divide n_gates={n_gates}")
-    for eps_a in section["eps_a"]:
-        if not 0.0 <= eps_a < 1.0:
-            raise ConfigError(f"sweep eps_a={eps_a} must be in [0, 1)")
     coeffs = rate_coefficients(config)
-    lines = [CSV_HEADER]
-    index = 0
-    for eps_g in section["eps_g"]:
-        noise = _noise_for(config, eps_g)
-        for eps_a in section["eps_a"]:
-            rates = rates_at(coeffs, eps_g, eps_a)
-            approx = approx_coefficients(rates, scale=n_gates)
-            for m in section["m"]:
-                point_seed = derive_seed(seed, index)
-                index += 1
-                cfg = TrajectoryConfig(
-                    n_gates=n_gates, m=m, eps_a=eps_a, noise=noise,
-                    shots=shots, master_seed=point_seed,
-                )
-                est = estimate_pl_mc(cfg, threads=threads)
-                sched = Schedule(n_gates=n_gates, m=m)
-                p_formula = pl_second_order(rates, sched)
-                p_approx = approx.evaluate(m)
-                lines.append(
-                    ",".join(
-                        [
-                            _fmt(eps_g), _fmt(eps_a), str(m), str(n_gates),
-                            str(sched.blocks), str(shots), str(est.failures),
-                            _fmt(est.p_hat), _fmt(est.ci_low), _fmt(est.ci_high),
-                            _fmt(p_formula), _fmt(p_approx), str(point_seed),
-                        ]
+    # Build every point before sampling any: the library objects validate
+    # the grid, so a bad value anywhere in it fails up front.
+    points = []
+    try:
+        schedules = [Schedule(n_gates=n_gates, m=m) for m in section["m"]]
+        for eps_g in section["eps_g"]:
+            noise = _noise_for(config, eps_g)
+            for eps_a in section["eps_a"]:
+                rates = rates_at(coeffs, eps_g, eps_a)
+                approx = approx_coefficients(rates, scale=n_gates)
+                for sched in schedules:
+                    cfg = TrajectoryConfig(
+                        n_gates=n_gates, m=sched.m, eps_a=eps_a, noise=noise,
+                        shots=section["shots"],
+                        master_seed=derive_seed(seed, len(points)),
                     )
-                )
+                    points.append((eps_g, cfg, pl_second_order(rates, sched),
+                                   approx.evaluate(sched.m)))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    lines = [CSV_HEADER]
+    for eps_g, cfg, p_formula, p_approx in points:
+        est = estimate_pl_mc(cfg, threads=threads)
+        lines.append(
+            ",".join(
+                [
+                    _fmt(eps_g), _fmt(cfg.eps_a), str(cfg.m), str(cfg.n_gates),
+                    str(cfg.blocks), str(cfg.shots), str(est.failures),
+                    _fmt(est.p_hat), _fmt(est.ci_low), _fmt(est.ci_high),
+                    _fmt(p_formula), _fmt(p_approx), str(cfg.master_seed),
+                ]
+            )
+        )
     text = "\n".join(lines) + "\n"
     path = out or config.out or "sweep.csv"
     _write_text(path, text)
@@ -268,25 +267,22 @@ def cmd_sweep(config: Config, seed: int, threads: int, out: str | None) -> int:
 
 def cmd_mmin(config: Config, seed: int, threads: int, out: str | None) -> int:
     section = config.mmin
-    n_gates = section["n_gates"]
     if not section["eps_g"] or not section["eps_a"] or not section["m_grid"]:
         raise ConfigError("mmin grids must be nonempty")
-    for eps_a in section["eps_a"]:
-        if not 0.0 <= eps_a < 1.0:
-            raise ConfigError(f"mmin eps_a={eps_a} must be in [0, 1)")
-    for m in section["m_grid"]:
-        if n_gates % m != 0:
-            raise ConfigError(f"mmin m={m} does not divide n_gates={n_gates}")
     coeffs = rate_coefficients(config)
     lines = ["eps_g,eps_a,m_min,argmin_m,argmin_pl"]
-    for eps_g in section["eps_g"]:
-        for eps_a in section["eps_a"]:
-            rates = rates_at(coeffs, eps_g, eps_a)
-            best = m_min(rates)
-            gm, gpl = grid_argmin(rates, n_gates, section["m_grid"])
-            lines.append(
-                ",".join([_fmt(eps_g), _fmt(eps_a), str(best), str(gm), _fmt(gpl)])
-            )
+    # Pure arithmetic: any ValueError here comes from a bad config value.
+    try:
+        for eps_g in section["eps_g"]:
+            for eps_a in section["eps_a"]:
+                rates = rates_at(coeffs, eps_g, eps_a)
+                best = m_min(rates)
+                gm, gpl = grid_argmin(rates, section["n_gates"], section["m_grid"])
+                lines.append(",".join(
+                    [_fmt(eps_g), _fmt(eps_a), str(best), str(gm), _fmt(gpl)]
+                ))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     text = "\n".join(lines) + "\n"
     print(text, end="")
     path = out or config.out
@@ -297,10 +293,6 @@ def cmd_mmin(config: Config, seed: int, threads: int, out: str | None) -> int:
 
 def cmd_calibrate(config: Config, seed: int, threads: int, out: str | None) -> int:
     section = config.calibration
-    if not section["eps_g_grid"]:
-        raise ConfigError("calibration eps_g_grid must be nonempty")
-    if section["shots"] < 7:
-        raise ConfigError("calibration shots must cover the 7 input positions")
     try:
         result = calibrate(
             eps_g_grid=section["eps_g_grid"],

@@ -18,6 +18,7 @@ import functools
 import numpy as np
 
 from .ancilla import AncillaCircuit, accepted_distribution, default_circuit
+from .model import Schedule
 from .noise import NoiseParams, parity_flip_prob
 from .steane import DECODE, N_PATTERNS, RESIDUAL_LOGICAL, SYNDROME, WEIGHT
 
@@ -129,16 +130,13 @@ def logical_error_exact(
     n_gates // m steps of block_output_distribution from the clean state,
     computed as one power of the block kernel.
     """
-    if n_gates < 1 or m < 1:
-        raise ValueError(f"n_gates and m must be positive, got {n_gates}, {m}")
-    if n_gates % m != 0:
-        raise ValueError(f"m={m} must divide n_gates={n_gates}")
+    blocks = Schedule(n_gates=n_gates, m=m).blocks
     if not 0.0 <= eps_a <= 1.0:
         raise ValueError(f"eps_a must be in [0, 1], got {eps_a}")
     gate = _gate_layer(parity_flip_prob(noise.eps_g, m))
     done = gate @ _transfer(noise, circuit)
     kernel = eps_a * gate + (1.0 - eps_a) * done  # exactly gate at eps_a = 1
-    run = np.linalg.matrix_power(kernel, n_gates // m)
+    run = np.linalg.matrix_power(kernel, blocks)
     return float(run[0, RESIDUAL_LOGICAL].sum())
 
 

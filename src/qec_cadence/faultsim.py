@@ -34,6 +34,7 @@ from .ancilla import (
     default_circuit,
     prepare_verified_ancilla,
 )
+from .model import Schedule, as_count
 from .noise import (
     NoiseParams,
     parity_flip_prob,
@@ -78,15 +79,12 @@ class TrajectoryConfig:
     batch_size: int = DEFAULT_BATCH_SIZE
 
     def __post_init__(self) -> None:
-        if self.n_gates < 1 or self.m < 1:
-            raise ValueError("n_gates and m must be positive")
-        if self.n_gates % self.m != 0:
-            raise ValueError(f"m={self.m} must divide n_gates={self.n_gates}")
+        Schedule(n_gates=self.n_gates, m=self.m)
         if not 0.0 <= self.eps_a <= 1.0:
             raise ValueError(f"eps_a must be in [0, 1], got {self.eps_a}")
-        if self.shots < 1:
+        if as_count("shots", self.shots) < 1:
             raise ValueError("shots must be >= 1")
-        if self.batch_size < 1:
+        if as_count("batch_size", self.batch_size) < 1:
             raise ValueError("batch_size must be >= 1")
 
     @property

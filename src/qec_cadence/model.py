@@ -19,6 +19,7 @@ Per-qubit elementary rates (all per gate or per performed round):
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -38,6 +39,12 @@ class AbstractRates:
     eps_d: float
 
     def validate(self) -> None:
+        """Raise ValueError unless every rate is in [0, 1] and eps_a in [0, 1).
+
+        The simulator and the exact evaluator also run eps_a = 1 (every
+        round skipped), but the closed form cannot: gamma divides by
+        (1 - eps_a)^2.
+        """
         for name in ("eps_g", "eps_s", "eps_o", "eps_c", "eps_d"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0 or math.isnan(v):
@@ -69,18 +76,40 @@ def rates_at(coeffs: dict, eps_g: float, eps_a: float = 0.0) -> AbstractRates:
     )
 
 
+def as_count(name: str, value) -> int:
+    """`value` as an int; ValueError for anything that is not an integer.
+
+    numpy integers pass; 2.0, 2.5, "10" and True are refused, never
+    truncated, parsed or counted as 1.
+    """
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Schedule:
-    """N logical gates in blocks of m, one QEC opportunity per block."""
+    """N logical gates in blocks of m, one QEC opportunity per block.
+
+    The one check of an (n_gates, m) pair: the simulator and the exact
+    evaluator build a Schedule to validate theirs.
+    """
 
     n_gates: int
     m: int
 
     def __post_init__(self) -> None:
-        if self.n_gates <= 0 or self.m <= 0:
-            raise ValueError("n_gates and m must be positive")
-        if self.n_gates % self.m != 0:
-            raise ValueError(f"m={self.m} does not divide n_gates={self.n_gates}")
+        n_gates = as_count("n_gates", self.n_gates)
+        m = as_count("m", self.m)
+        if n_gates <= 0 or m <= 0:
+            raise ValueError(
+                f"n_gates and m must be positive, got n_gates={n_gates}, m={m}"
+            )
+        if n_gates % m != 0:
+            raise ValueError(f"m={m} does not divide n_gates={n_gates}")
 
     @property
     def blocks(self) -> int:
@@ -237,17 +266,16 @@ def m_min(rates: AbstractRates) -> int:
 
 def grid_argmin(rates: AbstractRates, n_gates: int, m_grid) -> tuple[int, float]:
     """(m, P_L) minimizing pl_second_order over an m grid; ties to smaller m."""
-    m_values = sorted(set(int(m) for m in m_grid))
-    if not m_values:
+    schedules = sorted(
+        {Schedule(n_gates=n_gates, m=m) for m in m_grid}, key=lambda s: s.m
+    )
+    if not schedules:
         raise ValueError("empty m grid")
-    for m in m_values:
-        if n_gates % m != 0:
-            raise ValueError(f"m={m} does not divide n_gates={n_gates}")
     best_m, best_p = None, None
-    for m in m_values:
-        p = pl_second_order(rates, Schedule(n_gates=n_gates, m=m))
+    for schedule in schedules:
+        p = pl_second_order(rates, schedule)
         if best_p is None or p < best_p:
-            best_m, best_p = m, p
+            best_m, best_p = schedule.m, p
     return best_m, best_p
 
 

@@ -5,6 +5,7 @@ so the whole file stays fast while still driving main() end to end.
 """
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -32,6 +33,8 @@ def write_config(tmp_path, payload, name="config.json"):
     path.write_text(json.dumps(payload))
     return str(path)
 
+
+CONFIGS_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 TINY_SWEEP = {
     "seed": 42,
@@ -247,6 +250,72 @@ class TestSweepCommand:
         empty = dict(TINY_SWEEP, sweep=dict(TINY_SWEEP["sweep"], eps_g=[]))
         assert main(["sweep", "--config",
                      write_config(tmp_path, empty, "g.json")]) == 3
+
+
+    # each grid's last value alone is bad: m = 3 does not divide n_gates = 4,
+    # eps_a = 1 is outside the closed form's range, eps_g < 0 is no rate
+    @pytest.mark.parametrize("grid", [{"m": [1, 2, 3]}, {"eps_a": [0.0, 1.0]},
+                                      {"eps_g": [1e-3, -1e-3]}],
+                             ids=["m", "eps_a", "eps_g"])
+    def test_validates_whole_grid_before_sampling(self, tmp_path, monkeypatch,
+                                                  grid):
+        def never(*args, **kwargs):
+            raise AssertionError("sampled before the grid was validated")
+        monkeypatch.setattr(cli, "estimate_pl_mc", never)
+        payload = dict(TINY_SWEEP, sweep=dict(TINY_SWEEP["sweep"], **grid))
+        assert main(["sweep", "--config", write_config(tmp_path, payload),
+                     "--out", str(tmp_path / "x.csv")]) == 3
+        assert not (tmp_path / "x.csv").exists()
+
+
+TINY_MMIN = {"mmin": {"eps_g": [1e-4], "eps_a": [0.0], "m_grid": [1, 2],
+                      "n_gates": 10}}
+TINY_CALIBRATION = {"calibration": {"eps_g_grid": [1e-3], "shots": 700}}
+
+# (command, base config, section, overrides): each override alone is bad.
+MALFORMED = [
+    ("sweep", TINY_SWEEP, "sweep", {"m": [0]}),
+    ("sweep", TINY_SWEEP, "sweep", {"n_gates": 0}),
+    ("sweep", TINY_SWEEP, "sweep", {"shots": "10"}),
+    ("sweep", TINY_SWEEP, "sweep", {"shots": 100.0}),
+    ("sweep", TINY_SWEEP, "sweep", {"m": [2.0]}),
+    ("mmin", TINY_MMIN, "mmin", {"n_gates": 0}),
+    ("mmin", TINY_MMIN, "mmin", {"m_grid": [0]}),
+    ("mmin", TINY_MMIN, "mmin", {"eps_g": [0]}),
+    ("mmin", TINY_MMIN, "mmin", {"m_grid": [2.5], "n_gates": 10}),
+    ("calibrate", TINY_CALIBRATION, "calibration", {"shots": "7"}),
+]
+
+
+@pytest.mark.parametrize(
+    "command,base,section,overrides", MALFORMED,
+    ids=[f"{c}-{json.dumps(o)}" for c, _, _, o in MALFORMED],
+)
+def test_malformed_config_exits_3(tmp_path, capsys, command, base, section,
+                                  overrides):
+    payload = dict(base, **{section: dict(base[section], **overrides)})
+    assert main([command, "--config", write_config(tmp_path, payload),
+                 "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("config error: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+class TestShippedConfigs:
+    def test_every_config_loads(self):
+        paths = sorted(CONFIGS_DIR.glob("*.json"))
+        assert paths
+        for path in paths:
+            load_config(str(path))
+
+    def test_cadence_table(self, capsys):
+        path = str(CONFIGS_DIR / "cadence-table.json")
+        assert main(["mmin", "--config", path]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "eps_g,eps_a,m_min,argmin_m,argmin_pl"
+        assert len(lines) == 1 + 3 * 11
 
 
 class TestMminCommand:

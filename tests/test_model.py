@@ -7,9 +7,12 @@ cadence comes out of the quadratic where it should.
 """
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qec_cadence.exact import logical_error_exact
+from qec_cadence.faultsim import TrajectoryConfig
 from qec_cadence.model import (
     AbstractRates,
     ApproxCoefficients,
@@ -23,6 +26,7 @@ from qec_cadence.model import (
     pl_second_order,
     table_contributions,
 )
+from qec_cadence.noise import NoiseParams
 
 BUILTIN = AbstractRates(
     eps_g=1e-4, eps_s=3.45e-4, eps_o=0.61e-4, eps_c=0.4e-4, eps_d=0.4e-4,
@@ -102,6 +106,42 @@ class TestSchedule:
             Schedule(n_gates=0, m=1)
         with pytest.raises(ValueError):
             Schedule(n_gates=10, m=0)
+
+
+# Every consumer of an (n_gates, m) pair, called with counts (n_gates, m).
+COUNT_CONSUMERS = {
+    "Schedule": lambda n, m: Schedule(n_gates=n, m=m),
+    "TrajectoryConfig": lambda n, m: TrajectoryConfig(
+        n_gates=n, m=m, eps_a=0.0, noise=NoiseParams(eps=1e-3), shots=1,
+        master_seed=0),
+    "logical_error_exact": lambda n, m: logical_error_exact(
+        NoiseParams(eps=1e-3), 0.0, n, m),
+    "grid_argmin": lambda n, m: grid_argmin(BUILTIN, n, [m]),
+}
+
+
+class TestCountValidation:
+    """Schedule is the one check of (n_gates, m); the others go through it."""
+
+    @pytest.mark.parametrize("consumer", sorted(COUNT_CONSUMERS))
+    def test_numpy_integers_accepted(self, consumer):
+        COUNT_CONSUMERS[consumer](np.int64(10), np.int64(2))
+
+    @pytest.mark.parametrize("bad", [2.5, 2.0, "10", True])
+    @pytest.mark.parametrize("field", ["n_gates", "m"])
+    @pytest.mark.parametrize("consumer", sorted(COUNT_CONSUMERS))
+    def test_non_integers_rejected(self, consumer, field, bad):
+        counts = {"n_gates": 10, "m": 1, field: bad}
+        with pytest.raises(ValueError):
+            COUNT_CONSUMERS[consumer](counts["n_gates"], counts["m"])
+
+    @pytest.mark.parametrize("bad", [2.5, 2.0, "10", True])
+    @pytest.mark.parametrize("field", ["shots", "batch_size"])
+    def test_trajectory_counts_rejected(self, field, bad):
+        kwargs = dict(n_gates=10, m=2, eps_a=0.0, noise=NoiseParams(eps=1e-3),
+                      shots=1, master_seed=0)
+        with pytest.raises(ValueError):
+            TrajectoryConfig(**{**kwargs, field: bad})
 
 
 class TestRates:
