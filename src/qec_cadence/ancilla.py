@@ -69,20 +69,6 @@ class AncillaCircuit:
     def measured_qubits(self) -> tuple[int, ...]:
         return tuple(q for op in self.ops if op.kind == "measure" for q in op.qubits)
 
-    def schedule_lines(self) -> list[str]:
-        """Human-readable schedule, 1-based qubits, for reports and docs."""
-        steps: dict[int, list[str]] = {}
-        for op in self.ops:
-            label = {
-                "prep_zero": "P0({})",
-                "prep_plus": "P+({})",
-                "wait": "W({})",
-                "cx": "CX({})",
-                "measure": "MZ({})",
-            }[op.kind].format("->".join(str(q + 1) for q in op.qubits))
-            steps.setdefault(op.step, []).append(label)
-        return [f"step {s}: " + " ".join(steps[s]) for s in sorted(steps)]
-
 
 def build_verified_plus_circuit() -> AncillaCircuit:
     """The documented default preparation circuit (see module docstring)."""

@@ -32,6 +32,7 @@ from .faultsim import SimulationAbort, TrajectoryConfig, estimate_pl_mc
 from .model import (
     Schedule,
     approx_coefficients,
+    as_rate,
     grid_argmin,
     m_min,
     pl_second_order,
@@ -182,7 +183,7 @@ def rate_coefficients(config: Config) -> dict:
         missing = [k for k in BUILTIN_COEFFS if k not in config.rates]
         if missing:
             raise ConfigError(f"explicit rates missing {missing}")
-        return {k: float(config.rates[k]) for k in BUILTIN_COEFFS}
+        return {k: as_rate(k, config.rates[k]) for k in BUILTIN_COEFFS}
     record_path = config.rates.get("record")
     if not record_path:
         raise ConfigError("rates source 'calibrated' needs a 'record' path")
@@ -224,11 +225,11 @@ def cmd_sweep(config: Config, seed: int, threads: int, out: str | None) -> int:
     n_gates = section["n_gates"]
     if not section["eps_g"] or not section["eps_a"] or not section["m"]:
         raise ConfigError("sweep grids must be nonempty")
-    coeffs = rate_coefficients(config)
     # Build every point before sampling any: the library objects validate
     # the grid, so a bad value anywhere in it fails up front.
     points = []
     try:
+        coeffs = rate_coefficients(config)
         schedules = [Schedule(n_gates=n_gates, m=m) for m in section["m"]]
         for eps_g in section["eps_g"]:
             noise = _noise_for(config, eps_g)
@@ -269,10 +270,10 @@ def cmd_mmin(config: Config, seed: int, threads: int, out: str | None) -> int:
     section = config.mmin
     if not section["eps_g"] or not section["eps_a"] or not section["m_grid"]:
         raise ConfigError("mmin grids must be nonempty")
-    coeffs = rate_coefficients(config)
     lines = ["eps_g,eps_a,m_min,argmin_m,argmin_pl"]
     # Pure arithmetic: any ValueError here comes from a bad config value.
     try:
+        coeffs = rate_coefficients(config)
         for eps_g in section["eps_g"]:
             for eps_a in section["eps_a"]:
                 rates = rates_at(coeffs, eps_g, eps_a)

@@ -6,10 +6,11 @@ each circuit element is a linear map on that vector.  These routines exist
 to validate the Monte Carlo path without sampling error and to study
 parameter choices cheaply.
 
-A run is a power of one 128x128 block kernel: the transfer matrix of a
-round is built once per noise setting and circuit (the build dominates the
-cost), and the block kernel is raised to the number of blocks by repeated
-squaring.
+A round acts on the data only through its syndrome, so its transfer
+matrix is T[x, y] = R[SYNDROME[x], x ^ y] for an 8x128 response table R.
+A run is a power of one 128x128 block kernel: T is built once per noise
+setting and circuit, and the block kernel is raised to the number of
+blocks by repeated squaring.
 """
 from __future__ import annotations
 
@@ -18,13 +19,15 @@ import functools
 import numpy as np
 
 from .ancilla import AncillaCircuit, accepted_distribution, default_circuit
-from .model import Schedule
+from .model import Schedule, as_rate
 from .noise import NoiseParams, parity_flip_prob
 from .steane import DECODE, N_PATTERNS, RESIDUAL_LOGICAL, SYNDROME, WEIGHT
 
 _IDX = np.arange(N_PATTERNS)
-# weight of x ^ y for every pair of patterns: indexes the gate-layer kernel
-_XOR_WEIGHT = WEIGHT[_IDX[:, None] ^ _IDX[None, :]].astype(np.uint8)
+_SYN = np.arange(8)
+# x ^ y for every pair of patterns: a kernel that depends on the flip alone
+# is its 128-vector indexed by this table
+_XOR = (_IDX[:, None] ^ _IDX[None, :]).astype(np.uint8)
 
 
 def convolve_bit_flips(dist: np.ndarray, probs) -> np.ndarray:
@@ -54,39 +57,27 @@ def syndrome_extraction_transfer(
     circuit = circuit or default_circuit()
     anc = accepted_distribution(circuit, noise).probs
     anc = convolve_bit_flips(anc, noise.meas_flip)
-
-    # P(syndrome  reads sigma | net ancilla-side offset u), all 128 offsets
-    q_table = np.zeros((N_PATTERNS, 8))
-    for u in range(N_PATTERNS):
-        np.add.at(q_table[u], SYNDROME[_IDX ^ u], anc)
-
+    # P(ancilla and readout noise offset the syndrome by s)
+    shift = np.bincount(SYNDROME, weights=anc, minlength=8)
+    # joint law of (data flip, ancilla-copy flip) of one CNOT; the same on
+    # every qubit, so the Kronecker power needs no bit order
     p = noise.cnot_flip
-    p_af = 2.0 * p  # marginal target-side flip per qubit
-    # conditional data-side flip probability given the target-side bit
-    p_df_given = (p / (1.0 - 2.0 * p) if p_af < 1.0 else 0.5, 0.5)
-
-    transfer = np.zeros((N_PATTERNS, N_PATTERNS))
-    for af in range(N_PATTERNS):
-        w_af = 1.0
-        for q in range(7):
-            w_af *= p_af if (af >> q) & 1 else 1.0 - p_af
-        if w_af == 0.0:
-            continue
-        rows = np.zeros((N_PATTERNS, N_PATTERNS))
-        q_rows = q_table[_IDX ^ af]
-        for sigma in range(8):
-            rows[_IDX, _IDX ^ DECODE[sigma]] += q_rows[:, sigma]
-        for q in range(7):
-            pq = p_df_given[(af >> q) & 1]
-            if pq != 0.0:
-                rows = (1.0 - pq) * rows + pq * rows[:, _IDX ^ (1 << q)]
-        transfer += w_af * rows
-    return transfer
+    pair = np.array([[1.0 - 3.0 * p, p], [p, p]])
+    coupling = functools.reduce(np.kron, [pair] * 7)
+    # P(data flips df, total syndrome offset sigma)
+    joint = coupling @ shift[SYNDROME[:, None] ^ _SYN]
+    # response[s, e] = P(a round on true syndrome s flips the data by e)
+    #                = sum over sigma of joint[e ^ DECODE[s ^ sigma], sigma]
+    flips = _IDX[None, :, None] ^ DECODE[_SYN[:, None, None] ^ _SYN]
+    response = joint[flips, _SYN].sum(axis=2)
+    return response[SYNDROME[:, None], _XOR]
 
 
 @functools.lru_cache(maxsize=32)
 def _cached_transfer(noise: NoiseParams, circuit: AncillaCircuit) -> np.ndarray:
-    # shared by every caller, so read-only; 32 entries hold at most 4 MB
+    # a build costs about one warm evaluation, so scans that revisit a noise
+    # setting run about twice as fast with it; shared by every caller, so
+    # read-only; 32 entries hold at most 4 MB
     transfer = syndrome_extraction_transfer(noise, circuit)
     transfer.flags.writeable = False
     return transfer
@@ -99,7 +90,7 @@ def _transfer(noise: NoiseParams, circuit: AncillaCircuit | None) -> np.ndarray:
 def _gate_layer(flip: float) -> np.ndarray:
     """128x128 kernel of independent flips at rate `flip` on all 7 qubits."""
     w = np.arange(8)
-    return (flip**w * (1.0 - flip) ** (7 - w))[_XOR_WEIGHT]
+    return (flip**w * (1.0 - flip) ** (7 - w))[WEIGHT][_XOR]
 
 
 def block_output_distribution(
@@ -131,7 +122,7 @@ def logical_error_exact(
     computed as one power of the block kernel.
     """
     blocks = Schedule(n_gates=n_gates, m=m).blocks
-    if not 0.0 <= eps_a <= 1.0:
+    if not 0.0 <= as_rate("eps_a", eps_a) <= 1.0:
         raise ValueError(f"eps_a must be in [0, 1], got {eps_a}")
     gate = _gate_layer(parity_flip_prob(noise.eps_g, m))
     done = gate @ _transfer(noise, circuit)

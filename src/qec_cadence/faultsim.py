@@ -34,7 +34,7 @@ from .ancilla import (
     default_circuit,
     prepare_verified_ancilla,
 )
-from .model import Schedule, as_count
+from .model import Schedule, as_count, as_rate
 from .noise import (
     NoiseParams,
     parity_flip_prob,
@@ -80,7 +80,7 @@ class TrajectoryConfig:
 
     def __post_init__(self) -> None:
         Schedule(n_gates=self.n_gates, m=self.m)
-        if not 0.0 <= self.eps_a <= 1.0:
+        if not 0.0 <= as_rate("eps_a", self.eps_a) <= 1.0:
             raise ValueError(f"eps_a must be in [0, 1], got {self.eps_a}")
         if as_count("shots", self.shots) < 1:
             raise ValueError("shots must be >= 1")

@@ -19,6 +19,7 @@ Per-qubit elementary rates (all per gate or per performed round):
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import warnings
 from dataclasses import dataclass
@@ -39,17 +40,17 @@ class AbstractRates:
     eps_d: float
 
     def validate(self) -> None:
-        """Raise ValueError unless every rate is in [0, 1] and eps_a in [0, 1).
+        """Raise ValueError unless each rate is a number in [0, 1], eps_a in [0, 1).
 
         The simulator and the exact evaluator also run eps_a = 1 (every
         round skipped), but the closed form cannot: gamma divides by
         (1 - eps_a)^2.
         """
         for name in ("eps_g", "eps_s", "eps_o", "eps_c", "eps_d"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0 or math.isnan(v):
+            v = as_rate(name, getattr(self, name))
+            if not 0.0 <= v <= 1.0:  # NaN fails too
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
-        if not 0.0 <= self.eps_a < 1.0 or math.isnan(self.eps_a):
+        if not 0.0 <= as_rate("eps_a", self.eps_a) < 1.0:
             raise ValueError(f"eps_a must be in [0, 1), got {self.eps_a}")
 
     def scaled(self, factor: float) -> "AbstractRates":
@@ -66,6 +67,7 @@ class AbstractRates:
 
 def rates_at(coeffs: dict, eps_g: float, eps_a: float = 0.0) -> AbstractRates:
     """Rates at eps_g from per-eps_g coefficients, keyed `eps_s_per_eps_g` etc."""
+    as_rate("eps_g", eps_g)
     return AbstractRates(
         eps_g=eps_g,
         eps_a=eps_a,
@@ -74,6 +76,13 @@ def rates_at(coeffs: dict, eps_g: float, eps_a: float = 0.0) -> AbstractRates:
         eps_c=coeffs["eps_c_per_eps_g"] * eps_g,
         eps_d=coeffs["eps_d_per_eps_g"] * eps_g,
     )
+
+
+def as_rate(name: str, value) -> float:
+    """`value` as a float; ValueError unless it is a real number (not a bool)."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
 def as_count(name: str, value) -> int:

@@ -60,12 +60,6 @@ class TestScheduleShape:
         assert steane.pattern_from_qubits(sources) == row12
         assert sources == [1, 2, 5, 6]
 
-    def test_schedule_lines_render_every_step(self):
-        lines = default_circuit().schedule_lines()
-        assert len(lines) == 9
-        assert lines[0].startswith("step 0: ")
-        assert "MZ(8)" in lines[8]
-
     def test_builder_is_cached_but_equivalent(self):
         assert default_circuit() is default_circuit()
         assert build_verified_plus_circuit() == default_circuit()

@@ -268,8 +268,18 @@ class TestSweepCommand:
         assert not (tmp_path / "x.csv").exists()
 
 
+def test_type_error_while_sampling_surfaces(tmp_path, monkeypatch):
+    # only config values map to exit 3; a program bug keeps its traceback
+    def broken(*args, **kwargs):
+        raise TypeError("bug in the sampler")
+    monkeypatch.setattr(cli, "estimate_pl_mc", broken)
+    with pytest.raises(TypeError, match="bug in the sampler"):
+        main(["sweep", "--config", write_config(tmp_path, TINY_SWEEP)])
+
+
 TINY_MMIN = {"mmin": {"eps_g": [1e-4], "eps_a": [0.0], "m_grid": [1, 2],
                       "n_gates": 10}}
+EXPLICIT_MMIN = dict(TINY_MMIN, rates={"source": "explicit", **BUILTIN_COEFFS})
 TINY_CALIBRATION = {"calibration": {"eps_g_grid": [1e-3], "shots": 700}}
 
 # (command, base config, section, overrides): each override alone is bad.
@@ -284,6 +294,10 @@ MALFORMED = [
     ("mmin", TINY_MMIN, "mmin", {"eps_g": [0]}),
     ("mmin", TINY_MMIN, "mmin", {"m_grid": [2.5], "n_gates": 10}),
     ("calibrate", TINY_CALIBRATION, "calibration", {"shots": "7"}),
+    ("mmin", TINY_MMIN, "mmin", {"eps_a": ["0.3"]}),
+    ("mmin", TINY_MMIN, "mmin", {"eps_g": ["1e-4"]}),
+    ("sweep", TINY_SWEEP, "sweep", {"eps_a": [None]}),
+    ("mmin", EXPLICIT_MMIN, "rates", {"eps_s_per_eps_g": None}),
 ]
 
 

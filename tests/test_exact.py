@@ -4,13 +4,18 @@ These routines are the ground truth the Monte Carlo path is checked
 against, so they get their own independent checks: degenerate limits,
 stochasticity, and closed forms where the physics collapses to one.
 """
+import itertools
 import time
 
 import numpy as np
 import pytest
 
 from qec_cadence import exact, steane
-from qec_cadence.ancilla import default_circuit, strip_verification
+from qec_cadence.ancilla import (
+    accepted_distribution,
+    default_circuit,
+    strip_verification,
+)
 from qec_cadence.cli import BUILTIN_COEFFS, rates_at
 from qec_cadence.exact import (
     block_output_distribution,
@@ -96,6 +101,62 @@ class TestTransfer:
         assert t[0, 0] > 0.95
         for q in range(7):
             assert t[1 << q, 0] > 0.95
+
+
+CIRCUITS = {
+    "default": default_circuit(),
+    "stripped": strip_verification(default_circuit()),
+}
+
+
+def enumerated_rows(noise, circuit, inputs):
+    """Rows of the round's transfer matrix by brute-force enumeration.
+
+    Sums over the 4^7 per-qubit CNOT fault classes (no fault, data only,
+    ancilla copy only, both) and the 128 ancilla-plus-readout patterns, with
+    out = x ^ df ^ DECODE[SYNDROME[x ^ a ^ af]] written out literally.
+    """
+    p, r = noise.cnot_flip, noise.meas_flip
+    # (data flip, ancilla-copy flip, probability) of each CNOT fault class
+    classes = [(0, 0, 1.0 - 3.0 * p), (1, 0, p), (0, 1, p), (1, 1, p)]
+    df, af, prob = [], [], []
+    for combo in itertools.product(classes, repeat=7):
+        df.append(sum(c[0] << q for q, c in enumerate(combo)))
+        af.append(sum(c[1] << q for q, c in enumerate(combo)))
+        prob.append(float(np.prod([c[2] for c in combo])))
+    df, af, prob = np.array(df), np.array(af), np.array(prob)
+    prepared = accepted_distribution(circuit, noise).probs
+    readout = [r**w * (1.0 - r) ** (7 - w) for w in map(int, steane.WEIGHT)]
+    anc = [sum(prepared[b] * readout[a ^ b] for b in range(128))
+           for a in range(128)]
+    rows = np.zeros((len(inputs), 128))
+    for i, x in enumerate(inputs):
+        for a in range(128):
+            out = x ^ df ^ steane.DECODE[steane.SYNDROME[x ^ a ^ af]]
+            rows[i] += np.bincount(out, weights=anc[a] * prob, minlength=128)
+    return rows
+
+
+class TestTransferStructure:
+    @pytest.mark.parametrize("eps", [1e-3, 1e-2])
+    @pytest.mark.parametrize("circuit", sorted(CIRCUITS))
+    def test_rows_match_brute_force_enumeration(self, eps, circuit):
+        noise = NoiseParams(eps=eps)
+        inputs = [0] + [1 << q for q in range(7)] + [0b0010010]
+        t = syndrome_extraction_transfer(noise, CIRCUITS[circuit])
+        want = enumerated_rows(noise, CIRCUITS[circuit], inputs)
+        np.testing.assert_allclose(t[inputs], want, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("eps", [1e-4, 1e-2])
+    @pytest.mark.parametrize("circuit", sorted(CIRCUITS))
+    def test_invariant_under_codeword_translation(self, eps, circuit):
+        # a round sees the data only through its syndrome:
+        # T[x ^ c, y ^ c] == T[x, y] for every Hamming codeword c
+        t = syndrome_extraction_transfer(NoiseParams(eps=eps), CIRCUITS[circuit])
+        idx = np.arange(128)
+        assert len(steane.CODEWORDS) == 16
+        for c in steane.CODEWORDS:
+            assert np.array_equal(t[np.ix_(idx ^ c, idx ^ c)], t), c
 
 
 class TestBlockEvolution:

@@ -5,6 +5,7 @@ sums, the contribution table sums exactly to the headline number, the
 pairwise enumeration oracle reproduces the formula, and the optimal
 cadence comes out of the quadratic where it should.
 """
+import functools
 import math
 
 import numpy as np
@@ -24,6 +25,7 @@ from qec_cadence.model import (
     m_min,
     pairwise_fault_oracle,
     pl_second_order,
+    rates_at,
     table_contributions,
 )
 from qec_cadence.noise import NoiseParams
@@ -142,6 +144,43 @@ class TestCountValidation:
                       shots=1, master_seed=0)
         with pytest.raises(ValueError):
             TrajectoryConfig(**{**kwargs, field: bad})
+
+
+RATE_FIELDS = ("eps_g", "eps_a", "eps_s", "eps_o", "eps_c", "eps_d")
+COEFFS = {"eps_s_per_eps_g": 3.45, "eps_o_per_eps_g": 0.61,
+          "eps_c_per_eps_g": 0.4, "eps_d_per_eps_g": 0.4}
+
+
+
+def validate_with(name, value):
+    AbstractRates(**{**{f: 1e-4 for f in RATE_FIELDS}, name: value}).validate()
+
+
+# Every consumer of a rate, called with that one rate.
+RATE_CONSUMERS = {
+    **{f"AbstractRates.{name}": functools.partial(validate_with, name)
+       for name in RATE_FIELDS},
+    "rates_at.eps_g": lambda v: rates_at(COEFFS, v),
+    "TrajectoryConfig.eps_a": lambda v: TrajectoryConfig(
+        n_gates=10, m=2, eps_a=v, noise=NoiseParams(eps=1e-3), shots=1,
+        master_seed=0),
+    "logical_error_exact.eps_a": lambda v: logical_error_exact(
+        NoiseParams(eps=1e-3), v, 10, 2),
+}
+
+
+class TestRateValidation:
+    """A rate that is not a real number is a ValueError, never a TypeError."""
+
+    @pytest.mark.parametrize("consumer", sorted(RATE_CONSUMERS))
+    def test_numpy_floats_accepted(self, consumer):
+        RATE_CONSUMERS[consumer](np.float64(1e-4))
+
+    @pytest.mark.parametrize("bad", ["0.3", None, True, [1e-4]])
+    @pytest.mark.parametrize("consumer", sorted(RATE_CONSUMERS))
+    def test_non_reals_rejected(self, consumer, bad):
+        with pytest.raises(ValueError):
+            RATE_CONSUMERS[consumer](bad)
 
 
 class TestRates:

@@ -1,4 +1,10 @@
 """The built-in self checks must all pass on a healthy install."""
+from dataclasses import replace
+
+import pytest
+
+from qec_cadence import selfcheck
+from qec_cadence.faultsim import estimate_pl_mc
 from qec_cadence.selfcheck import CheckResult, run_self_checks
 
 
@@ -17,3 +23,21 @@ def test_check_names_are_unique_and_descriptive():
     for r in results:
         assert r.name
         assert r.detail
+
+
+# sampler faults the sampler-vs-exact check must catch, each written as the
+# config a faulty sampler would in effect simulate
+SAMPLER_FAULTS = {
+    "ignores skips": lambda cfg: replace(cfg, eps_a=0.0),
+    "m - 1 gates per block": lambda cfg: replace(
+        cfg, m=cfg.m - 1, n_gates=cfg.blocks * (cfg.m - 1)),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(SAMPLER_FAULTS))
+def test_sampler_vs_exact_rejects_a_faulty_sampler(monkeypatch, fault):
+    def faulty(cfg, **kwargs):
+        return estimate_pl_mc(SAMPLER_FAULTS[fault](cfg), **kwargs)
+    monkeypatch.setattr(selfcheck, "estimate_pl_mc", faulty)
+    result = selfcheck._check_sampler_vs_exact()
+    assert not result.passed, result.detail
