@@ -27,7 +27,7 @@ import numpy as np
 
 from .ancilla import AncillaCircuit, accepted_distribution, default_circuit
 from .faultsim import sample_round_outputs, wilson_interval
-from .model import AbstractRates, as_count, rates_at
+from .model import AbstractRates, as_count, as_rate, rates_at
 from .noise import NoiseParams
 from .steane import RESIDUAL_LOGICAL, WEIGHT
 
@@ -235,7 +235,7 @@ def calibrate(
             np.random.SeedSequence([seed, j]).generate_state(1, np.uint64)[0]
         )
         positions = measure_position_rates(
-            1.5 * eps_g,
+            1.5 * as_rate("eps_g", eps_g),
             shots,
             seed=point_seed,
             noise_options=noise_options,

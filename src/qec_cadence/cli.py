@@ -32,6 +32,7 @@ from .faultsim import SimulationAbort, TrajectoryConfig, estimate_pl_mc
 from .model import (
     Schedule,
     approx_coefficients,
+    as_count,
     as_rate,
     grid_argmin,
     m_min,
@@ -114,8 +115,11 @@ class Config:
         unknown = set(raw) - allowed
         if unknown:
             raise ConfigError(f"unknown top-level config key(s): {sorted(unknown)}")
-        seed = raw.get("seed", DEFAULT_SEED)
-        if not isinstance(seed, int) or not 0 <= seed < 2**64:
+        try:
+            seed = as_count("seed", raw.get("seed", DEFAULT_SEED))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        if not 0 <= seed < 2**64:
             raise ConfigError("seed must be an integer in [0, 2^64)")
         rates = raw.get("rates", {"source": "builtin"})
         if not isinstance(rates, dict) or "source" not in rates:

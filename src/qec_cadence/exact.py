@@ -8,13 +8,14 @@ parameter choices cheaply.
 
 A round acts on the data only through its syndrome, so its transfer
 matrix is T[x, y] = R[SYNDROME[x], x ^ y] for an 8x128 response table R.
-A run is a power of one 128x128 block kernel: T is built once per noise
-setting and circuit, and the block kernel is raised to the number of
-blocks by repeated squaring.
+A round and a gate layer both commute with XOR by an X-stabilizer, and the
+final verdict is constant on the 16 classes (syndrome, weight parity), so
+the 128-state chain lumps onto those classes with no loss.  A run is the
+16x16 block kernel raised to the number of blocks; each call rebuilds R
+from the noise and circuit (about a millisecond), so nothing is cached.
+The 128-state block_output_distribution stays as the reference.
 """
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -28,6 +29,17 @@ _SYN = np.arange(8)
 # x ^ y for every pair of patterns: a kernel that depends on the flip alone
 # is its 128-vector indexed by this table
 _XOR = (_IDX[:, None] ^ _IDX[None, :]).astype(np.uint8)
+# weight of x | y for every pair of patterns
+_OR_WEIGHT = WEIGHT[_IDX[:, None] | _IDX[None, :]]
+# R[s, e] sums joint[e ^ DECODE[s ^ sigma], sigma] over sigma; these are the
+# flat indices of those terms in the 128x8 joint law
+_RESPONSE_TERMS = (_IDX[None, :, None] ^ DECODE[_SYN[:, None, None] ^ _SYN]) * 8 + _SYN
+# Class of a pattern: its syndrome and weight parity.  The map is linear with
+# the X-stabilizers as kernel, and the verdict is constant on each class.
+_CLASS = SYNDROME | (WEIGHT & 1) << 3
+_ONEHOT = (_CLASS[:, None] == np.arange(16)).astype(float)
+_LOGICAL = _ONEHOT[RESIDUAL_LOGICAL].any(axis=0)
+_XOR16 = _XOR[:16, :16]
 
 
 def convolve_bit_flips(dist: np.ndarray, probs) -> np.ndarray:
@@ -44,10 +56,10 @@ def convolve_bit_flips(dist: np.ndarray, probs) -> np.ndarray:
     return out
 
 
-def syndrome_extraction_transfer(
-    noise: NoiseParams, circuit: AncillaCircuit | None = None
+def _syndrome_response(
+    noise: NoiseParams, circuit: AncillaCircuit | None
 ) -> np.ndarray:
-    """128x128 matrix T with T[x_in, x_out] = P(round maps x_in to x_out).
+    """8x128 table R[s, e] = P(a round on true syndrome s flips the data by e).
 
     Covers one performed round: verified ancilla (exact accepted
     distribution), transversal data->ancilla CNOTs with correlated two-qubit
@@ -59,38 +71,21 @@ def syndrome_extraction_transfer(
     anc = convolve_bit_flips(anc, noise.meas_flip)
     # P(ancilla and readout noise offset the syndrome by s)
     shift = np.bincount(SYNDROME, weights=anc, minlength=8)
-    # joint law of (data flip, ancilla-copy flip) of one CNOT; the same on
-    # every qubit, so the Kronecker power needs no bit order
-    p = noise.cnot_flip
-    pair = np.array([[1.0 - 3.0 * p, p], [p, p]])
-    coupling = functools.reduce(np.kron, [pair] * 7)
+    # one CNOT flips (data, ancilla copy) by (1, 0), (0, 1) or (1, 1) with
+    # probability p each, so the 7 CNOTs give the flips (df, af) with
+    # probability p^k (1 - 3p)^(7 - k), k the weight of df | af
+    p, k = noise.cnot_flip, np.arange(8)
+    coupling = (p**k * (1.0 - 3.0 * p) ** (7 - k))[_OR_WEIGHT]
     # P(data flips df, total syndrome offset sigma)
     joint = coupling @ shift[SYNDROME[:, None] ^ _SYN]
-    # response[s, e] = P(a round on true syndrome s flips the data by e)
-    #                = sum over sigma of joint[e ^ DECODE[s ^ sigma], sigma]
-    flips = _IDX[None, :, None] ^ DECODE[_SYN[:, None, None] ^ _SYN]
-    response = joint[flips, _SYN].sum(axis=2)
-    return response[SYNDROME[:, None], _XOR]
+    return joint.ravel()[_RESPONSE_TERMS].sum(axis=2)
 
 
-@functools.lru_cache(maxsize=32)
-def _cached_transfer(noise: NoiseParams, circuit: AncillaCircuit) -> np.ndarray:
-    # a build costs about one warm evaluation, so scans that revisit a noise
-    # setting run about twice as fast with it; shared by every caller, so
-    # read-only; 32 entries hold at most 4 MB
-    transfer = syndrome_extraction_transfer(noise, circuit)
-    transfer.flags.writeable = False
-    return transfer
-
-
-def _transfer(noise: NoiseParams, circuit: AncillaCircuit | None) -> np.ndarray:
-    return _cached_transfer(noise, circuit or default_circuit())
-
-
-def _gate_layer(flip: float) -> np.ndarray:
-    """128x128 kernel of independent flips at rate `flip` on all 7 qubits."""
-    w = np.arange(8)
-    return (flip**w * (1.0 - flip) ** (7 - w))[WEIGHT][_XOR]
+def syndrome_extraction_transfer(
+    noise: NoiseParams, circuit: AncillaCircuit | None = None
+) -> np.ndarray:
+    """128x128 matrix T with T[x_in, x_out] = P(round maps x_in to x_out)."""
+    return _syndrome_response(noise, circuit)[SYNDROME[:, None], _XOR]
 
 
 def block_output_distribution(
@@ -119,16 +114,19 @@ def logical_error_exact(
     n_gates gates in blocks of m, a skippable round after each block, then
     an ideal final decode.  Matches what estimate_pl_mc samples.  Equals
     n_gates // m steps of block_output_distribution from the clean state,
-    computed as one power of the block kernel.
+    computed as one power of the 16-class block kernel.
     """
     blocks = Schedule(n_gates=n_gates, m=m).blocks
     if not 0.0 <= as_rate("eps_a", eps_a) <= 1.0:
         raise ValueError(f"eps_a must be in [0, 1], got {eps_a}")
-    gate = _gate_layer(parity_flip_prob(noise.eps_g, m))
-    done = gate @ _transfer(noise, circuit)
+    flip, w = parity_flip_prob(noise.eps_g, m), np.arange(8)
+    gate = ((flip**w * (1.0 - flip) ** (7 - w))[WEIGHT] @ _ONEHOT)[_XOR16]
+    # lumped round T16[u, v] = R16[u & 7, u ^ v]; u & 7 is the syndrome of u
+    response = _syndrome_response(noise, circuit) @ _ONEHOT
+    done = gate @ response[np.arange(16)[:, None] & 7, _XOR16]
     kernel = eps_a * gate + (1.0 - eps_a) * done  # exactly gate at eps_a = 1
     run = np.linalg.matrix_power(kernel, blocks)
-    return float(run[0, RESIDUAL_LOGICAL].sum())
+    return float(run[0, _LOGICAL].sum())
 
 
 def single_round_rates(
@@ -140,7 +138,7 @@ def single_round_rates(
     averaged over the 7 input positions.  rate_one: same inputs, output is a
     weight-1 pattern.  These are the quantities the calibration fits.
     """
-    transfer = _transfer(noise, circuit)
+    transfer = syndrome_extraction_transfer(noise, circuit)
     two = one = 0.0
     for i in range(7):
         row = transfer[1 << i]

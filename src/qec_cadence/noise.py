@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import as_rate
+
 
 @dataclass(frozen=True)
 class NoiseParams:
@@ -29,12 +31,15 @@ class NoiseParams:
     wait_scale: float = 1.0 / 3.0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.eps <= 1.0:
+        if not 0.0 <= as_rate("eps", self.eps) <= 1.0:
             raise ValueError(f"eps must be in [0, 1], got {self.eps}")
-        if self.p_meas is not None and not 0.0 <= self.p_meas <= 0.5:
+        if self.p_meas is not None and not 0.0 <= as_rate("p_meas", self.p_meas) <= 0.5:
             raise ValueError(f"p_meas must be in [0, 0.5], got {self.p_meas}")
-        if not 0.0 <= self.wait_scale <= 1.0:
+        if not 0.0 <= as_rate("wait_scale", self.wait_scale) <= 1.0:
             raise ValueError(f"wait_scale must be in [0, 1], got {self.wait_scale}")
+        for name in ("include_meas_error", "include_init_error", "include_wait_error"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a bool, got {getattr(self, name)!r}")
 
     @property
     def eps_g(self) -> float:
@@ -63,7 +68,7 @@ class NoiseParams:
 
     @classmethod
     def from_eps_g(cls, eps_g: float, **kwargs) -> "NoiseParams":
-        return cls(eps=1.5 * eps_g, **kwargs)
+        return cls(eps=1.5 * as_rate("eps_g", eps_g), **kwargs)
 
 
 def bit_error_rates(eps: float) -> tuple[float, float, float]:

@@ -4,19 +4,26 @@ Each check is cheap (a few seconds total), needs no configuration, and
 exercises a different cross-validation seam: closed forms against direct
 summation, the itemized table against the total, the independent pair
 enumeration against the closed form, the code tables against brute force,
-the preparation circuit against the single-fault audit, and the batch
-sampler against the exact evaluator.
+the preparation circuit against the single-fault audit, the batch
+sampler against the exact evaluator, and the exact evaluator's 16-class
+chain against its 128-state reference.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import model, steane
 from .ancilla import default_circuit, single_fault_audit, strip_verification
-from .exact import logical_error_exact
+from .exact import (
+    block_output_distribution,
+    logical_error_exact,
+    syndrome_extraction_transfer,
+)
 from .faultsim import TrajectoryConfig, estimate_pl_mc
-from .noise import NoiseParams
+from .noise import NoiseParams, parity_flip_prob
 
 
 @dataclass(frozen=True)
@@ -146,6 +153,33 @@ def _check_sampler_vs_exact() -> CheckResult:
     )
 
 
+def _check_exact_lumping() -> CheckResult:
+    # the 16-class chain is exact only if a round commutes with XOR by every
+    # codeword; then it must match 30 blocks of the 128-state reference
+    noise = NoiseParams.from_eps_g(1e-3)
+    transfer = syndrome_extraction_transfer(noise)
+    idx = np.arange(steane.N_PATTERNS)
+    for c in steane.CODEWORDS:
+        if not np.array_equal(transfer[np.ix_(idx ^ c, idx ^ c)], transfer):
+            return CheckResult(
+                "exact-lumping", False, f"round not invariant under XOR by {c}"
+            )
+    n_gates, m, eps_a = 60, 2, 0.5
+    gate_flip = parity_flip_prob(noise.eps_g, m)
+    dist = (idx == 0).astype(float)
+    for _ in range(n_gates // m):
+        dist = block_output_distribution(dist, transfer, gate_flip, eps_a)
+    reference = float(dist[steane.RESIDUAL_LOGICAL].sum())
+    lumped = logical_error_exact(noise, eps_a, n_gates, m)
+    err = abs(lumped - reference) / reference
+    return CheckResult(
+        "exact-lumping",
+        err < 1e-12,
+        f"16-class chain {lumped:.6e} vs 128-state reference (relative "
+        f"error {err:.2e})",
+    )
+
+
 def run_self_checks() -> list[CheckResult]:
     return [
         _check_gamma_sums(),
@@ -154,4 +188,5 @@ def run_self_checks() -> list[CheckResult]:
         _check_code_tables(),
         _check_ancilla_audit(),
         _check_sampler_vs_exact(),
+        _check_exact_lumping(),
     ]

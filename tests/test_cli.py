@@ -298,6 +298,11 @@ MALFORMED = [
     ("mmin", TINY_MMIN, "mmin", {"eps_g": ["1e-4"]}),
     ("sweep", TINY_SWEEP, "sweep", {"eps_a": [None]}),
     ("mmin", EXPLICIT_MMIN, "rates", {"eps_s_per_eps_g": None}),
+    ("sweep", TINY_SWEEP, None, {"seed": True}),
+    ("sweep", TINY_SWEEP, "noise", {"include_meas_error": "false"}),
+    ("sweep", TINY_SWEEP, "noise", {"wait_scale": True}),
+    ("sweep", TINY_SWEEP, "noise", {"include_wait_error": None}),
+    ("calibrate", TINY_CALIBRATION, "calibration", {"eps_g_grid": ["1e-4"]}),
 ]
 
 
@@ -307,7 +312,10 @@ MALFORMED = [
 )
 def test_malformed_config_exits_3(tmp_path, capsys, command, base, section,
                                   overrides):
-    payload = dict(base, **{section: dict(base[section], **overrides)})
+    if section is None:  # top-level keys
+        payload = dict(base, **overrides)
+    else:
+        payload = dict(base, **{section: dict(base.get(section, {}), **overrides)})
     assert main([command, "--config", write_config(tmp_path, payload),
                  "--out", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
@@ -415,8 +423,8 @@ class TestCheckCommand:
     def test_healthy_install_passes(self, capsys):
         assert main(["check"]) == 0
         out = capsys.readouterr().out
-        assert out.count("PASS") == 6
-        assert "6/6 checks passed" in out
+        assert out.count("PASS") == 7
+        assert "7/7 checks passed" in out
 
     def test_failure_exits_1(self, capsys, monkeypatch):
         monkeypatch.setattr(

@@ -85,6 +85,24 @@ class TestNoiseParams:
         with pytest.raises(ValueError):
             NoiseParams(eps=0.1, wait_scale=1.2)
 
+    @pytest.mark.parametrize("options", [
+        {"eps": "0.1"}, {"eps": None}, {"eps": True},
+        {"p_meas": "0.01"}, {"p_meas": False},
+        {"wait_scale": True}, {"wait_scale": "0.5"},
+        {"include_meas_error": "false"}, {"include_init_error": 1},
+        {"include_wait_error": None},
+    ])
+    def test_rejects_wrongly_typed_options(self, options):
+        # never parsed, counted as a number or read for its truth value
+        with pytest.raises(ValueError):
+            NoiseParams(**{"eps": 0.1, **options})
+
+    @pytest.mark.parametrize("eps_g", ["1e-4", True, None])
+    def test_from_eps_g_names_a_wrongly_typed_rate(self, eps_g):
+        # not a TypeError from 1.5 * "1e-4", nor eps = 1.5 from True
+        with pytest.raises(ValueError, match="eps_g must be a real number"):
+            NoiseParams.from_eps_g(eps_g)
+
     def test_frozen(self):
         n = NoiseParams(eps=0.1)
         with pytest.raises(Exception):

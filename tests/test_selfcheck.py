@@ -3,14 +3,14 @@ from dataclasses import replace
 
 import pytest
 
-from qec_cadence import selfcheck
+from qec_cadence import exact, selfcheck
 from qec_cadence.faultsim import estimate_pl_mc
 from qec_cadence.selfcheck import CheckResult, run_self_checks
 
 
 def test_all_checks_pass():
     results = run_self_checks()
-    assert len(results) == 6
+    assert len(results) == 7
     for r in results:
         assert isinstance(r, CheckResult)
         assert r.passed, f"{r.name}: {r.detail}"
@@ -40,4 +40,16 @@ def test_sampler_vs_exact_rejects_a_faulty_sampler(monkeypatch, fault):
         return estimate_pl_mc(SAMPLER_FAULTS[fault](cfg), **kwargs)
     monkeypatch.setattr(selfcheck, "estimate_pl_mc", faulty)
     result = selfcheck._check_sampler_vs_exact()
+    assert not result.passed, result.detail
+
+
+def test_exact_lumping_rejects_a_round_that_breaks_the_symmetry(monkeypatch):
+    def skewed(noise, circuit=None):
+        # move one row's mass between two columns; the row still sums to 1
+        t = exact.syndrome_extraction_transfer(noise, circuit)
+        t[5, 9] += t[5, 5]
+        t[5, 5] = 0.0
+        return t
+    monkeypatch.setattr(selfcheck, "syndrome_extraction_transfer", skewed)
+    result = selfcheck._check_exact_lumping()
     assert not result.passed, result.detail
