@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ancilla import AncillaCircuit, accepted_distribution, default_circuit
-from .faultsim import sample_round_outputs, wilson_interval
+from .faultsim import round_output, sample_round_faults, wilson_interval
 from .model import AbstractRates, as_count, as_rate, rates_at
 from .noise import NoiseParams
 from .steane import RESIDUAL_LOGICAL, WEIGHT
@@ -85,19 +85,25 @@ def measure_position_rates(
         raise ValueError("need at least one shot per input pattern")
     circuit = circuit or default_circuit()
     noise = NoiseParams(eps=eps, **(noise_options or {}))
-    cumulative = np.cumsum(accepted_distribution(circuit, noise).probs)
+    anc_probs = accepted_distribution(circuit, noise).probs
     base, extra = divmod(shots, len(input_patterns))
     out = []
     for k, pattern in enumerate(input_patterns):
         n = base + (1 if k < extra else 0)
         rng = np.random.default_rng(np.random.SeedSequence([seed, k]))
-        outs = sample_round_outputs(pattern, n, rng, noise, cumulative)
+        faults = sample_round_faults(rng, n, noise, anc_probs)
+        # every fault-free round gives the same output
+        quiet = n - faults.index.size
+        clean = round_output(pattern, 0, 0)
+        outs = round_output(pattern, faults.on_data, faults.on_measured)
         out.append(
             PositionRates(
                 pattern=pattern,
                 shots=n,
-                two_count=int(np.count_nonzero(RESIDUAL_LOGICAL[outs])),
-                one_count=int(np.count_nonzero(WEIGHT[outs] == 1)),
+                two_count=quiet * int(RESIDUAL_LOGICAL[clean])
+                + int(np.count_nonzero(RESIDUAL_LOGICAL[outs])),
+                one_count=quiet * int(WEIGHT[clean] == 1)
+                + int(np.count_nonzero(WEIGHT[outs] == 1)),
             )
         )
     return out

@@ -28,7 +28,7 @@ from .calibration import (
     CalibrationResult,
     calibrate,
 )
-from .faultsim import SimulationAbort, TrajectoryConfig, estimate_pl_mc
+from .faultsim import SimulationAbort, TrajectoryConfig, estimate_many
 from .model import (
     Schedule,
     approx_coefficients,
@@ -250,9 +250,9 @@ def cmd_sweep(config: Config, seed: int, threads: int, out: str | None) -> int:
                                    approx.evaluate(sched.m)))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    estimates = estimate_many([cfg for _, cfg, _, _ in points], threads=threads)
     lines = [CSV_HEADER]
-    for eps_g, cfg, p_formula, p_approx in points:
-        est = estimate_pl_mc(cfg, threads=threads)
+    for (eps_g, cfg, p_formula, p_approx), est in zip(points, estimates):
         lines.append(
             ",".join(
                 [

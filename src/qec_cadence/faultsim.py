@@ -9,21 +9,49 @@ to the Pauli frame.  A trajectory fails if the final frame decodes to a
 logical flip.
 
 Two execution paths exist on purpose: an event-by-event path (qec_round,
-run_trajectory) kept simple enough to inspect, and a vectorized batch
-kernel behind estimate_pl_mc.  The batch kernel draws the accepted-ancilla
+run_trajectory) kept simple enough to inspect, and a sparse batch kernel
+behind estimate_pl_mc.  The batch kernel draws the accepted-ancilla
 pattern directly from the exact conditional distribution of the
 preparation circuit, which is what the retry loop converges to; tests hold
 the two paths to the same statistics.
 
-Determinism contract: estimate_pl_mc seeds every fixed-size batch from
-(master_seed, batch_index) and reduces integer failure counts, so results
-are bit-identical for a given master seed at any worker count.
+Sparse sampling.  At the rates of interest almost every shot-block sees no
+fault, so the batch kernel draws fault locations only, as geometric gaps
+over a flattened stream of locations (Gidney 2021, arXiv:2103.02202).  A
+batch walks its blocks in chunks sized from the config so that a chunk
+holds about CHUNK_EVENTS expected faults (at least one block).  Per chunk
+the draw order is:
+
+  1. gate flips over (block, shot, qubit) at parity_flip_prob(eps_g, m);
+  2. the round faults of sample_round_faults over (block, shot):
+     non-trivial accepted ancillas and their patterns, CNOT X-classes,
+     readout flips;
+  3. one skip uniform per (block, shot) with a round fault, in that order;
+
+then, block by block, one skip uniform per "dirty" shot that has no round
+fault in the block, in shot order.  Dirty means the data's syndrome is
+non-zero; a corrected stabilizer or logical residual is quiescent.
+
+Skip rule.  A round is skipped with probability eps_a, independently of
+its faults, and each (block, shot) draws its skip at most once.  A faulty
+round draws it in step 3; if skipped, all its faults are dropped and the
+data stays as it was, with no second draw.  A fault-free round changes
+the data only if the syndrome is non-zero, so only dirty shots draw a skip
+for it.  Work scales with faults plus dirty shot-blocks, not with shots x
+blocks.
+
+Determinism contract: every batch seeds its generator from
+SeedSequence([master_seed, batch_index]), its chunk layout depends on its
+config alone, and failure counts are reduced as integers.  Results are
+bit-identical for a given master seed at any worker count; estimate_many
+runs the batches of all its configs in one process pool.
 """
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,8 +73,8 @@ from .steane import DECODE, RESIDUAL_LOGICAL, SYNDROME
 
 RETRY_CAP = 1000
 DEFAULT_BATCH_SIZE = 16384
-
-_QUBIT_SHIFTS = np.arange(7, dtype=np.uint8)
+# Expected faults per chunk of blocks: bounds the event arrays at any rate.
+CHUNK_EVENTS = 1 << 16
 
 
 class SimulationAbort(RuntimeError):
@@ -154,41 +182,105 @@ def run_trajectory(
 
 
 # ---------------------------------------------------------------------------
-# vectorized path
+# sparse path
 
 
-def _pack_bits(mask: np.ndarray) -> np.ndarray:
-    """(n, 7) boolean -> n uint8 patterns, qubit q on bit q."""
-    return (mask.astype(np.uint8) << _QUBIT_SHIFTS).sum(axis=1, dtype=np.uint8)
+class RoundFaults(NamedTuple):
+    """Faults of a run of rounds, one entry per round that has any.
 
-
-def sample_round_outputs(
-    pattern: int | np.ndarray,
-    shots: int,
-    rng: np.random.Generator,
-    noise: NoiseParams,
-    anc_cumulative: np.ndarray,
-) -> np.ndarray:
-    """Vectorized qec_round: `shots` outputs of one performed round.
-
-    `pattern` is one input pattern for every shot, or a uint8 array with one
-    input per shot.  Draw order: ancilla, coupling, readout.  anc_cumulative
-    is the cumulative accepted-ancilla distribution from
-    accepted_distribution(...).probs.cumsum().
+    `index` holds the sorted round indices.  `on_data` is the X pattern the
+    round's CNOTs leave on the data; `on_measured` flips the measured
+    ancilla against an ideal copy of the data: the accepted ancilla
+    pattern, the CNOTs' copy-side faults and the readout flips.
     """
-    u_anc = rng.random(shots)
-    u_cx = rng.random((shots, 7))
-    u_meas = rng.random((shots, 7))
-    anc = np.minimum(
-        np.searchsorted(anc_cumulative, u_anc, side="right"), 127
+
+    index: np.ndarray
+    on_data: np.ndarray
+    on_measured: np.ndarray
+
+
+def round_output(data, on_data, on_measured):
+    """Data after a performed round with these faults (0, 0: fault-free)."""
+    return data ^ on_data ^ DECODE[SYNDROME[data ^ on_measured]]
+
+
+def _event_positions(rng: np.random.Generator, length: int, p: float) -> np.ndarray:
+    """Sorted positions of independent Bernoulli(p) events in [0, length).
+
+    Drawn as geometric gaps, so the cost scales with the events, not with
+    `length`; how many gaps are drawn depends on (length, p) and the draws.
+    """
+    if p <= 0.0 or length <= 0:
+        return np.empty(0, dtype=np.int64)
+    mean = length * p
+    size = int(mean + 4.0 * math.sqrt(mean)) + 16
+    pos = np.cumsum(rng.geometric(p, size)) - 1
+    while pos[-1] < length:
+        pos = np.concatenate((pos, pos[-1] + np.cumsum(rng.geometric(p, size))))
+    return pos[: np.searchsorted(pos, length)]
+
+
+def _qubit_bits(positions: np.ndarray) -> np.ndarray:
+    """Pattern bit of each (round, qubit) position, qubit q on bit q."""
+    return np.left_shift(1, positions % 7).astype(np.uint8)
+
+
+def _merge_rounds(index: np.ndarray, *masks: np.ndarray) -> tuple:
+    """Merge the entries of each round of a sorted index, XOR-ing masks."""
+    if index.size == 0:
+        return (index, *masks)
+    starts = np.flatnonzero(np.diff(index, prepend=-1))
+    return (index[starts], *(np.bitwise_xor.reduceat(m, starts) for m in masks))
+
+
+def sample_round_faults(
+    rng: np.random.Generator, rounds: int, noise: NoiseParams, anc_probs: np.ndarray
+) -> RoundFaults:
+    """Faults of `rounds` performed rounds, drawn sparsely.
+
+    Draw order: non-trivial accepted ancillas over rounds at
+    1 - anc_probs[0], then their patterns from anc_probs[1:]; CNOT
+    X-classes over (round, qubit) at 3 * cnot_flip, then their classes,
+    uniform over data only, ancilla copy only and both; readout flips over
+    (round, qubit) at meas_flip.  anc_probs is the accepted-ancilla
+    distribution, accepted_distribution(...).probs.
+    """
+    nontrivial = np.cumsum(anc_probs[1:])
+    anc = _event_positions(rng, rounds, 1.0 - anc_probs[0])
+    anc_pattern = 1 + np.minimum(
+        np.searchsorted(nontrivial, rng.random(anc.size) * nontrivial[-1],
+                        side="right"),
+        126,
     ).astype(np.uint8)
-    p = noise.cnot_flip
-    on_data = _pack_bits((u_cx < p) | ((u_cx >= 2 * p) & (u_cx < 3 * p)))
-    on_anc = _pack_bits((u_cx >= p) & (u_cx < 3 * p))
-    meas = _pack_bits(u_meas < noise.meas_flip)
-    pattern = np.uint8(pattern)
-    measured = anc ^ pattern ^ on_anc ^ meas
-    return (pattern ^ on_data) ^ DECODE[SYNDROME[measured]]
+    cx = _event_positions(rng, 7 * rounds, 3.0 * noise.cnot_flip)
+    cx_class = rng.integers(0, 3, cx.size)
+    cx_bit = _qubit_bits(cx)
+    meas = _event_positions(rng, 7 * rounds, noise.meas_flip)
+    index = np.concatenate((anc, cx // 7, meas // 7))
+    order = np.argsort(index, kind="stable")
+    on_data = np.concatenate((
+        np.zeros(anc.size, dtype=np.uint8),
+        np.where(cx_class != 1, cx_bit, np.uint8(0)),
+        np.zeros(meas.size, dtype=np.uint8),
+    ))
+    on_measured = np.concatenate((
+        anc_pattern,
+        np.where(cx_class != 0, cx_bit, np.uint8(0)),
+        _qubit_bits(meas),
+    ))
+    return RoundFaults(*_merge_rounds(index[order], on_data[order], on_measured[order]))
+
+
+def _skip_faulty_rounds(
+    rng: np.random.Generator, faults: RoundFaults, eps_a: float
+) -> tuple[RoundFaults, np.ndarray]:
+    """Draw the skip of every faulty round once.
+
+    Returns the faults of the performed rounds and the indices of the
+    skipped ones, which keep their data and draw no skip again.
+    """
+    skipped = rng.random(faults.index.size) < eps_a
+    return RoundFaults(*(a[~skipped] for a in faults)), faults.index[skipped]
 
 
 def _batch_extent(cfg: TrajectoryConfig, batch_index: int) -> int:
@@ -196,8 +288,18 @@ def _batch_extent(cfg: TrajectoryConfig, batch_index: int) -> int:
     return min(cfg.batch_size, cfg.shots - start)
 
 
+def _chunk_blocks(cfg: TrajectoryConfig, shots: int, p_gate: float,
+                  anc_probs: np.ndarray) -> int:
+    """Blocks per chunk: about CHUNK_EVENTS expected faults, at least one."""
+    noise = cfg.noise
+    per_shot_block = (7.0 * p_gate + (1.0 - anc_probs[0])
+                      + 7.0 * (3.0 * noise.cnot_flip + noise.meas_flip))
+    fit = CHUNK_EVENTS / max(shots * per_shot_block, 1.0)
+    return int(min(cfg.blocks, max(1.0, fit)))
+
+
 def _simulate_batch(
-    cfg: TrajectoryConfig, batch_index: int, anc_cumulative: np.ndarray
+    cfg: TrajectoryConfig, batch_index: int, anc_probs: np.ndarray
 ) -> int:
     """Failure count of one batch.  Pure function of its arguments."""
     n = _batch_extent(cfg, batch_index)
@@ -205,15 +307,48 @@ def _simulate_batch(
         np.random.SeedSequence([cfg.master_seed, batch_index])
     )
     p_gate = parity_flip_prob(cfg.noise.eps_g, cfg.m)
+    chunk = _chunk_blocks(cfg, n, p_gate, anc_probs)
     data = np.zeros(n, dtype=np.uint8)
-    for _ in range(cfg.blocks):
-        # fixed draw order per block: gates, skip, then the round's
-        # ancilla, coupling and readout draws in sample_round_outputs
-        u_gate = rng.random((n, 7))
-        u_skip = rng.random(n)
-        data ^= _pack_bits(u_gate < p_gate)
-        corrected = sample_round_outputs(data, n, rng, cfg.noise, anc_cumulative)
-        data = np.where(u_skip < cfg.eps_a, data, corrected)
+    dirty = np.empty(0, dtype=np.int64)  # shots whose syndrome is non-zero
+    faulty = np.zeros(n, dtype=bool)  # per block: shots with a round fault
+    for first in range(0, cfg.blocks, chunk):
+        blocks = min(chunk, cfg.blocks - first)
+        gates = _event_positions(rng, 7 * blocks * n, p_gate)
+        gate_round, gate_flip = _merge_rounds(gates // 7, _qubit_bits(gates))
+        performed, skipped = _skip_faulty_rounds(
+            rng, sample_round_faults(rng, blocks * n, cfg.noise, anc_probs), cfg.eps_a
+        )
+        # every stream is sorted by block; slice each one block at a time
+        edges = np.arange(blocks + 1) * n
+        gate_at = np.searchsorted(gate_round, edges)
+        done_at = np.searchsorted(performed.index, edges)
+        skip_at = np.searchsorted(skipped, edges)
+        gate_shot = gate_round % n
+        done_shot = performed.index % n
+        skip_shot = skipped % n
+        for k in range(blocks):
+            g = slice(gate_at[k], gate_at[k + 1])
+            f = slice(done_at[k], done_at[k + 1])
+            s = slice(skip_at[k], skip_at[k + 1])
+            if not dirty.size and g.start == g.stop and f.start == f.stop \
+                    and s.start == s.stop:
+                continue
+            data[gate_shot[g]] ^= gate_flip[g]
+            touched = np.unique(np.concatenate(
+                (dirty, gate_shot[g], done_shot[f], skip_shot[s])))
+            faulty[done_shot[f]] = True
+            faulty[skip_shot[s]] = True
+            quiet = touched[~faulty[touched]]
+            faulty[done_shot[f]] = False
+            faulty[skip_shot[s]] = False
+            # fault-free rounds: only dirty shots draw a skip
+            quiet = quiet[SYNDROME[data[quiet]] != 0]
+            fixed = quiet[rng.random(quiet.size) >= cfg.eps_a]
+            data[fixed] = round_output(data[fixed], 0, 0)
+            shots = done_shot[f]
+            data[shots] = round_output(
+                data[shots], performed.on_data[f], performed.on_measured[f])
+            dirty = touched[SYNDROME[data[touched]] != 0]
     return int(np.count_nonzero(RESIDUAL_LOGICAL[data]))
 
 
@@ -236,6 +371,44 @@ def _check_retry_feasibility(cfg: TrajectoryConfig, p_accept: float) -> None:
         )
 
 
+def estimate_many(
+    cfgs,
+    threads: int = 1,
+    circuit: AncillaCircuit | None = None,
+) -> list[PlEstimate]:
+    """Logical error estimates of several configs, one per config.
+
+    Every config is checked before any sampling starts.  With threads > 1
+    and more than one batch in total, the batches of all configs run on
+    one process pool; the result is bit-identical at any `threads` value,
+    since each batch's seed depends on its config and index alone.
+    """
+    cfgs = list(cfgs)
+    circuit = circuit or default_circuit()
+    accepted = {noise: accepted_distribution(circuit, noise)
+                for noise in {cfg.noise for cfg in cfgs}}
+    for cfg in cfgs:
+        _check_retry_feasibility(cfg, accepted[cfg.noise].p_accept)
+    tasks = [(i, b) for i, cfg in enumerate(cfgs)
+             for b in range(-(-cfg.shots // cfg.batch_size))]
+    args = (
+        [cfgs[i] for i, _ in tasks],
+        [b for _, b in tasks],
+        [accepted[cfgs[i].noise].probs for i, _ in tasks],
+    )
+    if threads <= 1 or len(tasks) <= 1:
+        counts = list(map(_simulate_batch, *args))
+    else:
+        # the platform's start method (fork on Linux): a spawned worker
+        # re-imports numpy and the package, ~0.3 s and ~5 MB more per call
+        with ProcessPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
+            counts = list(pool.map(_simulate_batch, *args))
+    failures = [0] * len(cfgs)
+    for (i, _), count in zip(tasks, counts):
+        failures[i] += count
+    return [PlEstimate.from_counts(f, cfg.shots) for f, cfg in zip(failures, cfgs)]
+
+
 def estimate_pl_mc(
     cfg: TrajectoryConfig,
     threads: int = 1,
@@ -246,24 +419,4 @@ def estimate_pl_mc(
     Bit-identical for a fixed cfg at any `threads` value; workers only ever
     compute disjoint batches whose seeds depend on the batch index alone.
     """
-    circuit = circuit or default_circuit()
-    acc = accepted_distribution(circuit, cfg.noise)
-    _check_retry_feasibility(cfg, acc.p_accept)
-    anc_cumulative = np.cumsum(acc.probs)
-    n_batches = -(-cfg.shots // cfg.batch_size)
-    if threads <= 1 or n_batches == 1:
-        failures = sum(
-            _simulate_batch(cfg, b, anc_cumulative) for b in range(n_batches)
-        )
-    else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            failures = sum(
-                pool.map(
-                    _simulate_batch,
-                    [cfg] * n_batches,
-                    range(n_batches),
-                    [anc_cumulative] * n_batches,
-                    chunksize=max(1, n_batches // (4 * threads)),
-                )
-            )
-    return PlEstimate.from_counts(failures, cfg.shots)
+    return estimate_many([cfg], threads=threads, circuit=circuit)[0]

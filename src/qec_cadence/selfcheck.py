@@ -135,21 +135,41 @@ def _check_ancilla_audit() -> CheckResult:
     )
 
 
+# Configs of the sampler-vs-exact check: (eps_g, N, m, eps_a, shots), each
+# run at its own fixed seed, so the verdict is deterministic.  P_L moves
+# steeply with the schedule in the first: ignoring skips reads ~8 sigma off
+# there, m - 1 gates per block ~13.  In the second a skipped faulty round
+# that draws its skip again reads ~12 sigma low.
+SAMPLER_CONFIGS = (
+    (1e-3, 60, 2, 0.5, 40_000),
+    (5e-3, 20, 1, 0.7, 327_680),
+    (2e-3, 48, 4, 0.0, 40_000),
+    (1e-3, 60, 6, 0.9, 40_000),
+)
+# Two-sided normal tail beyond 4 sigma: the gate on the combined statistic.
+SAMPLER_TAIL = math.erfc(4.0 / math.sqrt(2.0))
+
+
 def _check_sampler_vs_exact() -> CheckResult:
-    # fixed seed, so the verdict is deterministic.  P_L = 3.10e-2 moves
-    # steeply here: ignoring skips reads 3.75e-2 (~7 sigma), m - 1 gates
-    # per block 1.90e-2 (~14 sigma)
-    cfg = TrajectoryConfig(
-        n_gates=60, m=2, eps_a=0.5, noise=NoiseParams.from_eps_g(1e-3),
-        shots=40_000, master_seed=20_240_601,
-    )
-    p_mc = estimate_pl_mc(cfg).p_hat
-    p_exact = logical_error_exact(cfg.noise, cfg.eps_a, cfg.n_gates, cfg.m)
-    z = (p_mc - p_exact) / math.sqrt(p_exact * (1.0 - p_exact) / cfg.shots)
+    # chi-square of the four z-scores; with 4 degrees of freedom its tail
+    # probability is exp(-x/2) * (1 + x/2)
+    zs = []
+    for k, (eps_g, n_gates, m, eps_a, shots) in enumerate(SAMPLER_CONFIGS):
+        cfg = TrajectoryConfig(
+            n_gates=n_gates, m=m, eps_a=eps_a, noise=NoiseParams.from_eps_g(eps_g),
+            shots=shots, master_seed=20_240_601 + k,
+        )
+        p_mc = estimate_pl_mc(cfg).p_hat
+        p_exact = logical_error_exact(cfg.noise, cfg.eps_a, cfg.n_gates, cfg.m)
+        zs.append((p_mc - p_exact) / math.sqrt(p_exact * (1.0 - p_exact) / shots))
+    chi2 = sum(z * z for z in zs)
+    tail = math.exp(-chi2 / 2.0) * (1.0 + chi2 / 2.0)
     return CheckResult(
         "sampler-vs-exact",
-        abs(z) < 4.0,
-        f"Monte Carlo {p_mc:.4e} vs exact {p_exact:.4e} (z = {z:+.2f})",
+        tail >= SAMPLER_TAIL,
+        f"chi2 = {chi2:.2f} over {len(zs)} configs (tail {tail:.2e}, gate "
+        f"{SAMPLER_TAIL:.2e} = 4 sigma); z = "
+        + ", ".join(f"{z:+.2f}" for z in zs),
     )
 
 

@@ -7,8 +7,8 @@ counts, calibration slopes measured from the shipped extraction circuit,
 and the determinism and throughput contract of the CLI sweep path.
 
 `pytest tests/test_acceptance.py -v` prints one pass/fail line per
-criterion.  Budget roughly ten minutes for the whole gate on one core;
-the Monte Carlo fixtures at the top dominate the runtime and are shared
+criterion.  The whole gate takes under half a minute on one core; the
+Monte Carlo fixtures at the top dominate the runtime and are shared
 between criteria, so the tests must run within a single session to stay
 cheap.
 

@@ -4,12 +4,13 @@ Heavy sweeps live in the acceptance suite; everything here uses tiny grids
 so the whole file stays fast while still driving main() end to end.
 """
 import json
+import multiprocessing
 import os
 from pathlib import Path
 
 import pytest
 
-from qec_cadence import cli
+from qec_cadence import cli, faultsim
 from qec_cadence.cli import (
     BUILTIN_COEFFS,
     CSV_HEADER,
@@ -209,6 +210,31 @@ class TestSweepCommand:
             outs.append(open(out, "rb").read())
         assert outs[0] == outs[1]
 
+    def test_one_pool_for_the_whole_grid(self, tmp_path, monkeypatch):
+        # six points of one batch each: the batches of all points share one
+        # pool, which is gone when the call returns
+        payload = {"seed": 5, "sweep": {"eps_g": [1e-4], "eps_a": [0.0, 0.5],
+                                        "m": [5, 10, 25], "n_gates": 1000,
+                                        "shots": 10_000}}
+        cfg_path = write_config(tmp_path, payload)
+        starts = []
+        pool = faultsim.ProcessPoolExecutor
+
+        def counting(*args, **kwargs):
+            starts.append(kwargs.get("max_workers"))
+            return pool(*args, **kwargs)
+        monkeypatch.setattr(faultsim, "ProcessPoolExecutor", counting)
+        outs = []
+        for threads in (1, 2, 3):
+            out = tmp_path / f"t{threads}.csv"
+            del starts[:]
+            assert main(["sweep", "--config", cfg_path, "--threads",
+                         str(threads), "--out", str(out)]) == 0
+            assert starts == ([] if threads == 1 else [threads])
+            assert not multiprocessing.active_children()
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1] == outs[2]
+
     def test_flag_seed_changes_the_rows(self, tmp_path):
         cfg_path = write_config(tmp_path, TINY_SWEEP)
         out_a = str(tmp_path / "a.csv")
@@ -261,7 +287,7 @@ class TestSweepCommand:
                                                   grid):
         def never(*args, **kwargs):
             raise AssertionError("sampled before the grid was validated")
-        monkeypatch.setattr(cli, "estimate_pl_mc", never)
+        monkeypatch.setattr(cli, "estimate_many", never)
         payload = dict(TINY_SWEEP, sweep=dict(TINY_SWEEP["sweep"], **grid))
         assert main(["sweep", "--config", write_config(tmp_path, payload),
                      "--out", str(tmp_path / "x.csv")]) == 3
@@ -272,7 +298,7 @@ def test_type_error_while_sampling_surfaces(tmp_path, monkeypatch):
     # only config values map to exit 3; a program bug keeps its traceback
     def broken(*args, **kwargs):
         raise TypeError("bug in the sampler")
-    monkeypatch.setattr(cli, "estimate_pl_mc", broken)
+    monkeypatch.setattr(cli, "estimate_many", broken)
     with pytest.raises(TypeError, match="bug in the sampler"):
         main(["sweep", "--config", write_config(tmp_path, TINY_SWEEP)])
 
@@ -443,7 +469,7 @@ class TestExitCodes:
     def test_simulation_abort_exits_2(self, tmp_path, monkeypatch):
         def boom(*args, **kwargs):
             raise SimulationAbort("injected")
-        monkeypatch.setattr(cli, "estimate_pl_mc", boom)
+        monkeypatch.setattr(cli, "estimate_many", boom)
         cfg_path = write_config(tmp_path, TINY_SWEEP)
         assert main(["sweep", "--config", cfg_path,
                      "--out", str(tmp_path / "x.csv")]) == 2

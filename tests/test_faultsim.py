@@ -1,10 +1,14 @@
 """Monte Carlo sampler: statistics plumbing, physics, determinism.
 
-The vectorized batch kernel is validated three ways: against the ideal
+The sparse batch kernel is validated three ways: against the ideal
 decoder at zero noise, against the exact 128-state reference at hot noise
 (no sampling ambiguity about which one is wrong: the reference is exact),
 and against the event-by-event path that draws faults one at a time.
+Neither reference shares code with the kernel: the exact evaluator
+propagates distributions, and the event path draws every location.
 """
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -22,10 +26,13 @@ from qec_cadence.faultsim import (
     SimulationAbort,
     TrajectoryConfig,
     _check_retry_feasibility,
+    _event_positions,
+    _simulate_batch,
     estimate_pl_mc,
     qec_round,
+    round_output,
     run_trajectory,
-    sample_round_outputs,
+    sample_round_faults,
     wilson_interval,
 )
 from qec_cadence.noise import NoiseParams
@@ -128,19 +135,19 @@ class TestVectorizedRound:
     def test_matches_event_round_statistics(self):
         # same input pattern, both paths, compare output histograms
         noise = NoiseParams(eps=0.05)
-        acc = accepted_distribution(default_circuit(), noise)
-        cumulative = np.cumsum(acc.probs)
-        pattern = steane.pattern_from_qubits([2, 6])
+        anc_probs = accepted_distribution(default_circuit(), noise).probs
+        pattern = np.uint8(steane.pattern_from_qubits([2, 6]))
         n = 30_000
-        outs = sample_round_outputs(
-            pattern, n, np.random.default_rng(3), noise, cumulative
-        )
+        faults = sample_round_faults(np.random.default_rng(3), n, noise, anc_probs)
+        outs = np.full(n, round_output(pattern, 0, 0), dtype=np.uint8)
+        outs[faults.index] = round_output(
+            pattern, faults.on_data, faults.on_measured)
         vec_counts = np.bincount(outs, minlength=128)
 
         rng = np.random.default_rng(4)
         ev_counts = np.zeros(128, dtype=int)
         for _ in range(n):
-            ev_counts[qec_round(pattern, rng, noise)] += 1
+            ev_counts[qec_round(int(pattern), rng, noise)] += 1
 
         for out in range(128):
             p = max(vec_counts[out], ev_counts[out]) / n
@@ -148,6 +155,32 @@ class TestVectorizedRound:
                 continue
             sigma = np.sqrt(2 * n * p * (1 - p))  # both sides fluctuate
             assert abs(vec_counts[out] - ev_counts[out]) < 5 * sigma
+
+    def test_one_sorted_entry_per_faulty_round(self):
+        noise = NoiseParams(eps=0.05)
+        anc_probs = accepted_distribution(default_circuit(), noise).probs
+        faults = sample_round_faults(np.random.default_rng(5), 5000, noise, anc_probs)
+        assert np.all(np.diff(faults.index) > 0)
+        assert 0 <= faults.index[0] and faults.index[-1] < 5000
+
+
+class TestEventPositions:
+    def test_each_location_fires_at_the_rate(self):
+        rng = np.random.default_rng(9)
+        length, p, reps = 40, 0.3, 5000
+        hits = np.zeros(length)
+        for _ in range(reps):
+            pos = _event_positions(rng, length, p)
+            assert np.all(np.diff(pos) > 0)
+            hits[pos] += 1
+        sigma = np.sqrt(reps * p * (1 - p))
+        assert np.all(np.abs(hits - reps * p) < 5 * sigma)
+
+    def test_edge_rates(self):
+        rng = np.random.default_rng(10)
+        assert _event_positions(rng, 100, 0.0).size == 0
+        assert np.array_equal(_event_positions(rng, 100, 1.0), np.arange(100))
+        assert _event_positions(rng, 0, 0.5).size == 0
 
 
 class TestBatchKernel:
@@ -186,6 +219,25 @@ class TestBatchKernel:
         assert w_large == pytest.approx(w_small / 2, rel=0.1)
 
 
+class TestHighRates:
+    def test_batch_memory_does_not_grow_with_blocks_or_rate(self):
+        # the top of every rate range, ~7 faults per shot-block: all the
+        # batch's fault positions at once would take ~900 MB, one block's
+        # ~1 MB per array; chunked generation keeps the peak near the latter
+        cfg = TrajectoryConfig(
+            n_gates=1000, m=1, eps_a=0.5,
+            noise=NoiseParams(eps=0.3, p_meas=0.5), shots=16384, master_seed=4,
+        )
+        anc_probs = accepted_distribution(default_circuit(), cfg.noise).probs
+        tracemalloc.start()
+        try:
+            _simulate_batch(cfg, 0, anc_probs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6, peak
+
+
 class TestDeterminism:
     def test_thread_count_does_not_change_the_answer(self):
         cfg = make_cfg(shots=5000, batch_size=1000)
@@ -222,13 +274,13 @@ class TestStreamPin:
             n_gates=60, m=3, eps_a=0.4, noise=NoiseParams.from_eps_g(2e-3),
             shots=5000, master_seed=2718, batch_size=1024,
         )
-        assert estimate_pl_mc(cfg).failures == 519
+        assert estimate_pl_mc(cfg).failures == 504
 
     def test_single_round_position_counts(self):
         positions = measure_position_rates(6e-3, 7003, seed=31)
         assert [(p.two_count, p.one_count) for p in positions] == [
-            (78, 15), (86, 17), (82, 24), (66, 30), (70, 22), (109, 11),
-            (75, 26),
+            (88, 27), (107, 28), (82, 24), (74, 38), (88, 16), (92, 18),
+            (90, 27),
         ]
 
     def test_event_path(self):
