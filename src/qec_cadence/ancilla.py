@@ -23,10 +23,11 @@ Schedule (1-based qubits, V = verification qubit):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .noise import NoiseParams, sample_two_qubit_fault
+from .noise import NoiseParams, sample_two_qubit_fault, xor_flip_prob
 from .steane import SYNDROME, WEIGHT
 
 
@@ -68,6 +69,60 @@ class AncillaCircuit:
     @property
     def measured_qubits(self) -> tuple[int, ...]:
         return tuple(q for op in self.ops if op.kind == "measure" for q in op.qubits)
+
+    @cached_property
+    def fault_masks(self) -> "FaultMasks":
+        """Every fault location pushed to the end of the circuit.
+
+        Circuit data, compiled once per circuit object.
+        """
+        return FaultMasks.compile(self)
+
+
+@dataclass(frozen=True)
+class FaultMasks:
+    """The faults of a circuit as fixed flip masks on its final state.
+
+    Every fault is an X flip and the circuit moves X flips only through
+    CNOTs, so a flip after op k reaches the end as the XOR of the columns of
+    the CNOT network that follows k (Aaronson and Gottesman 2004,
+    quant-ph/0406196).  States are n-bit flip patterns.  A fault channel is
+    kept as its gather rows, state ^ mask for each mask it can apply, the
+    identity first; they are intp because numpy converts any other index
+    dtype to intp on every gather.
+    """
+
+    flip_rows: np.ndarray  # (F, 2, 2^n): 0 and each distinct one-qubit flip mask
+    flip_kinds: tuple[tuple[str, ...], ...]  # kinds of the ops landing on each mask
+    kinds: frozenset[str]  # every one-qubit op kind in the circuit
+    cnot_rows: np.ndarray  # (C, 4, 2^n): 0, control, target and both, per CNOT
+    accepted: np.ndarray  # states whose verification bits all read 0
+    block: np.ndarray  # block pattern of each accepted state
+
+    @classmethod
+    def compile(cls, circuit: AncillaCircuit) -> "FaultMasks":
+        # walk backwards carrying column[q]: where an X on q ends up
+        column = [1 << q for q in range(circuit.n_qubits)]
+        flips: dict[int, list[str]] = {}
+        cnots = []
+        for op in reversed(circuit.ops):
+            if op.kind == "cx":
+                c, t = op.qubits
+                cnots.append((0, column[c], column[t], column[c] ^ column[t]))
+                column[c] ^= column[t]  # an X on the control before the gate
+            else:
+                flips.setdefault(column[op.qubits[0]], []).append(op.kind)
+        states = np.arange(1 << circuit.n_qubits)
+        verify = sum(1 << q for q in circuit.measured_qubits)
+        accepted = np.flatnonzero(states & verify == 0)
+        return cls(
+            flip_rows=states ^ np.array([(0, mask) for mask in flips])[:, :, None],
+            flip_kinds=tuple(map(tuple, flips.values())),
+            kinds=frozenset(op.kind for op in circuit.ops if op.kind != "cx"),
+            cnot_rows=states ^ np.array(cnots, dtype=np.intp).reshape(-1, 4, 1),
+            accepted=accepted,
+            block=accepted & 0x7F,
+        )
 
 
 def build_verified_plus_circuit() -> AncillaCircuit:
@@ -129,14 +184,14 @@ def default_circuit() -> AncillaCircuit:
     return _DEFAULT_CIRCUIT
 
 
-def _op_flip_prob(op: Op, noise: NoiseParams) -> float:
-    if op.kind in ("prep_zero", "prep_plus"):
+def _op_flip_prob(kind: str, noise: NoiseParams) -> float:
+    if kind in ("prep_zero", "prep_plus"):
         return noise.init_flip
-    if op.kind == "wait":
+    if kind == "wait":
         return noise.wait_flip
-    if op.kind == "measure":
+    if kind == "measure":
         return noise.meas_flip
-    raise ValueError(op.kind)
+    raise ValueError(kind)
 
 
 def simulate_once(
@@ -164,7 +219,7 @@ def simulate_once(
                 accepted = False
         else:
             q = op.qubits[0]
-            if rng.random() < _op_flip_prob(op, noise):
+            if rng.random() < _op_flip_prob(op.kind, noise):
                 state ^= 1 << q
     return state & 0x7F, accepted
 
@@ -200,45 +255,34 @@ def accepted_distribution(
 ) -> AcceptedDistribution:
     """Exact conditional distribution of the block pattern given acceptance.
 
-    Tracks the full joint distribution over circuit-qubit flip patterns (a
-    2^n vector) through every op; identical to what the rejection-sampling
-    loop in prepare_verified_ancilla draws from.
+    The joint law of the final circuit-qubit flip pattern (a 2^n vector) is
+    the XOR-convolution of independent fault channels, each a fixed mask
+    from circuit.fault_masks.  One-qubit flips that land on the same mask
+    merge into one flip by xor_flip_prob; each CNOT fault is a 4-point step
+    on {0, a, b, a ^ b} with probability cnot_flip on each non-zero mask.
+    Every step is a sum of non-negative terms.  Identical to what the
+    rejection-sampling loop in prepare_verified_ancilla draws from.
     """
-    n = circuit.n_qubits
-    size = 1 << n
-    idx = np.arange(size)
-    dist = np.zeros(size)
+    faults = circuit.fault_masks
+    rate = {kind: _op_flip_prob(kind, noise) for kind in faults.kinds}
+    dist = np.zeros(1 << circuit.n_qubits)
     dist[0] = 1.0
-    p_cx = noise.cnot_flip
-
-    def flip(d, mask, p):
-        if p == 0.0:
-            return d
-        return (1.0 - p) * d + p * d[idx ^ mask]
-
-    for op in circuit.ops:
-        if op.kind == "cx":
-            c, t = op.qubits
-            propagated = idx ^ (((idx >> c) & 1) << t)
-            dist = dist[propagated]  # involution: same map inverts itself
-            d0 = (1.0 - 3.0 * p_cx) * dist
-            d0 += p_cx * dist[idx ^ (1 << c)]
-            d0 += p_cx * dist[idx ^ (1 << t)]
-            d0 += p_cx * dist[idx ^ ((1 << c) | (1 << t))]
-            dist = d0
-        elif op.kind == "measure":
-            dist = flip(dist, 1 << op.qubits[0], noise.meas_flip)
-        else:
-            dist = flip(dist, 1 << op.qubits[0], _op_flip_prob(op, noise))
-    keep = np.ones(size, dtype=bool)
-    for q in circuit.measured_qubits:
-        keep &= (idx >> q) & 1 == 0
-    p_accept = float(dist[keep].sum())
+    for rows, kinds in zip(faults.flip_rows, faults.flip_kinds):
+        p = 0.0
+        for kind in kinds:
+            p = xor_flip_prob(p, rate[kind])
+        if p != 0.0:
+            dist = np.array([1.0 - p, p]) @ dist[rows]
+    p = noise.cnot_flip
+    if p != 0.0:
+        law = np.array([1.0 - 3.0 * p, p, p, p])
+        for rows in faults.cnot_rows:
+            dist = law @ dist[rows]
+    kept = dist[faults.accepted]
+    p_accept = float(kept.sum())
     if p_accept <= 0.0:
         raise RetryLimitError("verification accepts with probability 0")
-    probs = np.zeros(128)
-    block = idx & 0x7F
-    np.add.at(probs, block[keep], dist[keep])
+    probs = np.bincount(faults.block, weights=kept, minlength=128)
     return AcceptedDistribution(probs=probs / p_accept, p_accept=p_accept)
 
 

@@ -63,8 +63,12 @@ class NoiseParams:
 
     @property
     def cnot_flip(self) -> float:
-        """Probability of each X-carrying CNOT class: control, target, both."""
-        return 4.0 * self.eps / 15.0
+        """Probability of each X-carrying CNOT class: control, target, both.
+
+        4*eps/15, computed as 2*eps_g/5 so that the coupling rates of
+        bit_error_rates are exactly that fraction of eps_g.
+        """
+        return 2.0 * self.eps_g / 5.0
 
     @classmethod
     def from_eps_g(cls, eps_g: float, **kwargs) -> "NoiseParams":
@@ -74,21 +78,39 @@ class NoiseParams:
 def bit_error_rates(eps: float) -> tuple[float, float, float]:
     """(eps_g, eps_c, eps_d) implied by depolarizing strength eps.
 
-    eps_g = 2*eps/3 is the one-qubit X rate; the coupling CNOT puts an X on
-    the data alone (eps_c) or on data and ancilla copy together (eps_d), each
-    with probability 4*eps/15 = 2*eps_g/5.
+    eps_g is the one-qubit X rate; the coupling CNOT puts an X on the data
+    alone (eps_c) or on data and ancilla copy together (eps_d), each with
+    the CNOT class probability NoiseParams.cnot_flip = 2*eps_g/5.
     """
     if not 0.0 <= eps <= 0.25:
         raise ValueError(f"eps must be in [0, 0.25], got {eps}")
-    eps_g = 2.0 * eps / 3.0
-    eps_c = 2.0 * eps_g / 5.0
-    eps_d = eps_c
-    return eps_g, eps_c, eps_d
+    noise = NoiseParams(eps=eps)
+    return noise.eps_g, noise.cnot_flip, noise.cnot_flip
+
+
+def xor_flip_prob(p: float, q: float) -> float:
+    """Net flip probability of two independent flips, p + q - 2pq.
+
+    Written as p(1 - q) + q(1 - p): a sum of non-negative terms, so it keeps
+    its relative precision at small rates and near 1.
+    """
+    return p * (1.0 - q) + q * (1.0 - p)
 
 
 def parity_flip_prob(p: float, repeats: int) -> float:
-    """Net flip probability of `repeats` independent Bernoulli(p) flips."""
-    return 0.5 * (1.0 - (1.0 - 2.0 * p) ** repeats)
+    """Net flip probability of `repeats` independent Bernoulli(p) flips.
+
+    Binary exponentiation of xor_flip_prob: exact to rounding on all of
+    [0, 1], where 0.5 * (1 - (1 - 2p)^n) loses digits to cancellation at
+    small p (2.7e-11 relative at p = 1e-6, n = 1).
+    """
+    net, power = 0.0, p  # power: net flip of 2^k repeats
+    while repeats:
+        if repeats & 1:
+            net = xor_flip_prob(net, power)
+        power = xor_flip_prob(power, power)
+        repeats >>= 1
+    return net
 
 
 def sample_one_qubit_fault(rng: np.random.Generator, noise: NoiseParams) -> int:

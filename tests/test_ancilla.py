@@ -27,6 +27,55 @@ from qec_cadence.ancilla import (
 from qec_cadence.noise import NoiseParams
 
 
+def op_by_op_distribution(circuit, noise):
+    """(probs, p_accept) by carrying the 2^n flip-pattern law through each op.
+
+    The reference for accepted_distribution: one full pass over the state
+    vector per op, faults applied after each op's ideal action.
+    """
+    idx = np.arange(1 << circuit.n_qubits)
+    dist = (idx == 0).astype(float)
+    p_cx = noise.cnot_flip
+    rate = {"prep_zero": noise.init_flip, "prep_plus": noise.init_flip,
+            "wait": noise.wait_flip, "measure": noise.meas_flip}
+    for op in circuit.ops:
+        if op.kind == "cx":
+            c, t = op.qubits
+            dist = dist[idx ^ (((idx >> c) & 1) << t)]  # an involution
+            d0 = (1.0 - 3.0 * p_cx) * dist
+            d0 += p_cx * dist[idx ^ (1 << c)]
+            d0 += p_cx * dist[idx ^ (1 << t)]
+            d0 += p_cx * dist[idx ^ ((1 << c) | (1 << t))]
+            dist = d0
+        else:
+            p = rate[op.kind]
+            if p != 0.0:
+                dist = (1.0 - p) * dist + p * dist[idx ^ (1 << op.qubits[0])]
+    keep = np.ones(idx.size, dtype=bool)
+    for q in circuit.measured_qubits:
+        keep &= (idx >> q) & 1 == 0
+    p_accept = float(dist[keep].sum())
+    probs = np.zeros(128)
+    np.add.at(probs, idx[keep] & 0x7F, dist[keep])
+    return probs / p_accept, p_accept
+
+
+CIRCUITS = {
+    "default": default_circuit(),
+    "stripped": strip_verification(default_circuit()),
+    # no CNOT at all: every fault stays on its own qubit
+    "bare": AncillaCircuit(
+        ops=tuple(Op("prep_plus", (q,), 0) for q in range(7))
+        + (Op("wait", (3,), 1), Op("measure", (7,), 1)),
+        n_qubits=8,
+    ),
+}
+NOISE_OPTIONS = [
+    {}, {"p_meas": 0.5}, {"include_meas_error": False},
+    {"include_init_error": False}, {"include_wait_error": False},
+]
+
+
 class TestScheduleShape:
     def test_basic_layout(self):
         c = default_circuit()
@@ -147,6 +196,52 @@ class TestExactDistribution:
             p = dist.probs[pattern]
             sigma = np.sqrt(n_accept * p * (1 - p))
             assert abs(accepted_counts[pattern] - n_accept * p) < 4.5 * sigma
+
+
+class TestFaultMasks:
+    def test_default_circuit_compiles_to_17_flips_and_13_cnots(self):
+        masks = default_circuit().fault_masks
+        assert masks.flip_rows.shape == (17, 2, 256)
+        assert masks.cnot_rows.shape == (13, 4, 256)
+        assert len(masks.flip_kinds) == 17
+        assert sum(map(len, masks.flip_kinds)) == 59 - 13
+
+    def test_compiled_once_per_circuit_object(self):
+        c = build_verified_plus_circuit()
+        assert c.fault_masks is c.fault_masks
+
+    @pytest.mark.parametrize("circuit", sorted(CIRCUITS))
+    def test_masks_are_the_propagated_single_faults(self, circuit):
+        # every fault site lands on one compiled mask: its noiseless
+        # propagation gives the block pattern, and the verifier bit is
+        # what rejects it
+        c = CIRCUITS[circuit]
+        masks = c.fault_masks
+        flips = {int(rows[1, 0]) for rows in masks.flip_rows}
+        cnots = {tuple(int(r) for r in rows[1:, 0]) for rows in masks.cnot_rows}
+        cnot_faults = {}
+        for k, mask, fault in _fault_sites(c):
+            pattern, accepted = _run_with_fault(c, k, mask)
+            final = pattern | (0 if accepted else 1 << 7)
+            if c.ops[k].kind == "cx":
+                cnot_faults.setdefault(k, []).append(final)
+            else:
+                assert final in flips, (k, fault)
+        assert {tuple(v) for v in cnot_faults.values()} == cnots
+
+
+class TestMatchesOpByOpReference:
+    # 1e-14 relative on every non-zero entry, and the same zeros
+    @pytest.mark.parametrize("eps", [0.0, 1e-6, 1e-3, 0.3, 0.95, 1.0])
+    @pytest.mark.parametrize("options", NOISE_OPTIONS, ids=str)
+    @pytest.mark.parametrize("circuit", sorted(CIRCUITS))
+    def test_probs_and_acceptance(self, eps, options, circuit):
+        noise = NoiseParams(eps=eps, **options)
+        got = accepted_distribution(CIRCUITS[circuit], noise)
+        want, p_accept = op_by_op_distribution(CIRCUITS[circuit], noise)
+        assert got.p_accept == pytest.approx(p_accept, rel=1e-14, abs=0)
+        assert np.array_equal(got.probs == 0, want == 0)
+        np.testing.assert_allclose(got.probs, want, rtol=1e-14, atol=0)
 
 
 class TestRetries:

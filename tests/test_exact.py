@@ -137,7 +137,42 @@ def enumerated_rows(noise, circuit, inputs):
     return rows
 
 
+def convolved_response(noise, circuit):
+    """The 8x128 response table from the 128-state laws.
+
+    Readout flips are convolved into the accepted ancilla law qubit by
+    qubit, and the coupling CNOTs are a 128x128 table over (df, af).
+    """
+    idx, syn = np.arange(128), np.arange(8)
+    anc = convolve_bit_flips(
+        accepted_distribution(circuit, noise).probs, noise.meas_flip
+    )
+    shift = np.bincount(steane.SYNDROME, weights=anc, minlength=8)
+    p, k = noise.cnot_flip, np.arange(8)
+    coupling = (p**k * (1.0 - 3.0 * p) ** (7 - k))[
+        steane.WEIGHT[idx[:, None] | idx]
+    ]
+    joint = coupling @ shift[steane.SYNDROME[:, None] ^ syn]
+    terms = (idx[None, :, None] ^ steane.DECODE[syn[:, None, None] ^ syn]) * 8 + syn
+    return joint.ravel()[terms].sum(axis=2)
+
+
 class TestTransferStructure:
+    @pytest.mark.parametrize("eps", [0.0, 1e-6, 1e-3, 0.3, 0.95, 1.0])
+    @pytest.mark.parametrize("options", [
+        {}, {"p_meas": 0.5}, {"include_meas_error": False},
+        {"include_init_error": False}, {"include_wait_error": False},
+    ], ids=str)
+    @pytest.mark.parametrize("circuit", sorted(CIRCUITS))
+    def test_response_matches_the_128_state_formula(self, eps, options, circuit):
+        # readout and coupling enter through syndrome laws; the table must
+        # not move beyond rounding, and keep its exact zeros
+        noise = NoiseParams(eps=eps, **options)
+        got = exact._syndrome_response(noise, CIRCUITS[circuit])
+        want = convolved_response(noise, CIRCUITS[circuit])
+        assert np.array_equal(got == 0, want == 0)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
     @pytest.mark.parametrize("eps", [1e-3, 1e-2])
     @pytest.mark.parametrize("circuit", sorted(CIRCUITS))
     def test_rows_match_brute_force_enumeration(self, eps, circuit):

@@ -1,10 +1,14 @@
 """Noise-model identities and sampler statistics."""
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from qec_cadence.noise import (
     NoiseParams,
     bit_error_rates,
+    parity_flip_prob,
+    xor_flip_prob,
     sample_one_qubit_fault,
     sample_two_qubit_fault,
 )
@@ -34,6 +38,26 @@ class TestRateIdentities:
             bit_error_rates(0.3)
         with pytest.raises(ValueError):
             bit_error_rates(-1e-9)
+
+
+class TestParityFlipPrecision:
+    @pytest.mark.parametrize("p", [1e-6, 1e-4, 0.3, 0.9])
+    @pytest.mark.parametrize("repeats", [1, 5, 25, 840])
+    def test_matches_rational_arithmetic(self, p, repeats):
+        # (1 - (1 - 2p)^n) / 2 in exact arithmetic; the float form of it
+        # is 2.7e-11 relative off at p = 1e-6, n = 1
+        q = Fraction(p)
+        want = (1 - (1 - 2 * q) ** repeats) / 2
+        got = Fraction(parity_flip_prob(p, repeats))
+        assert abs(got - want) <= Fraction(1, 10**15) * want
+
+    def test_two_flips_combine_exactly_at_the_ends(self):
+        assert xor_flip_prob(0.0, 0.3) == 0.3
+        assert xor_flip_prob(1.0, 0.3) == 0.7
+        assert xor_flip_prob(1.0, 1.0) == 0.0
+        assert xor_flip_prob(0.5, 0.9) == 0.5
+        assert parity_flip_prob(1.0, 840) == 0.0
+        assert parity_flip_prob(1.0, 25) == 1.0
 
 
 class TestNoiseParams:
