@@ -27,12 +27,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .noise import NoiseParams, sample_two_qubit_fault, xor_flip_prob
+from .noise import NoiseParams, xor_flip_prob
 from .steane import SYNDROME, WEIGHT
 
 
 class RetryLimitError(RuntimeError):
-    """Ancilla verification kept failing; the run cannot proceed."""
+    """Ancilla verification never accepts; the run cannot proceed."""
 
 
 @dataclass(frozen=True)
@@ -56,6 +56,11 @@ class AncillaCircuit:
     def __post_init__(self) -> None:
         measured = set()
         for op in self.ops:
+            if op.kind not in ("prep_zero", "prep_plus", "wait", "cx", "measure"):
+                raise ValueError(f"op {op} has an unknown kind")
+            arity = 2 if op.kind == "cx" else 1
+            if len(op.qubits) != arity or len(set(op.qubits)) != arity:
+                raise ValueError(f"op {op} needs {arity} distinct qubit(s)")
             for q in op.qubits:
                 if not 0 <= q < self.n_qubits:
                     raise ValueError(f"op {op} addresses qubit out of range")
@@ -89,7 +94,9 @@ class FaultMasks:
     quant-ph/0406196).  States are n-bit flip patterns.  A fault channel is
     kept as its gather rows, state ^ mask for each mask it can apply, the
     identity first; they are intp because numpy converts any other index
-    dtype to intp on every gather.
+    dtype to intp on every gather.  This backward walk is the only
+    propagation of ancilla faults: the ancilla law reads the rows and the
+    single-fault audit reads `sites`.
     """
 
     flip_rows: np.ndarray  # (F, 2, 2^n): 0 and each distinct one-qubit flip mask
@@ -98,6 +105,10 @@ class FaultMasks:
     cnot_rows: np.ndarray  # (C, 4, 2^n): 0, control, target and both, per CNOT
     accepted: np.ndarray  # states whose verification bits all read 0
     block: np.ndarray  # block pattern of each accepted state
+    # (op index, fault, final mask) of every single X fault, in op order;
+    # fault is control, target or both for a CNOT, readout for a measure
+    # and flip for any other op
+    sites: tuple[tuple[int, str, int], ...]
 
     @classmethod
     def compile(cls, circuit: AncillaCircuit) -> "FaultMasks":
@@ -105,13 +116,18 @@ class FaultMasks:
         column = [1 << q for q in range(circuit.n_qubits)]
         flips: dict[int, list[str]] = {}
         cnots = []
-        for op in reversed(circuit.ops):
+        sites = []  # built backwards, reversed into op order below
+        for k, op in reversed(list(enumerate(circuit.ops))):
             if op.kind == "cx":
                 c, t = op.qubits
-                cnots.append((0, column[c], column[t], column[c] ^ column[t]))
-                column[c] ^= column[t]  # an X on the control before the gate
+                a, b = column[c], column[t]
+                cnots.append((0, a, b, a ^ b))
+                sites += [(k, "both", a ^ b), (k, "target", b), (k, "control", a)]
+                column[c] ^= b  # an X on the control before the gate
             else:
-                flips.setdefault(column[op.qubits[0]], []).append(op.kind)
+                mask = column[op.qubits[0]]
+                flips.setdefault(mask, []).append(op.kind)
+                sites.append((k, "readout" if op.kind == "measure" else "flip", mask))
         states = np.arange(1 << circuit.n_qubits)
         verify = sum(1 << q for q in circuit.measured_qubits)
         accepted = np.flatnonzero(states & verify == 0)
@@ -122,6 +138,7 @@ class FaultMasks:
             cnot_rows=states ^ np.array(cnots, dtype=np.intp).reshape(-1, 4, 1),
             accepted=accepted,
             block=accepted & 0x7F,
+            sites=tuple(reversed(sites)),
         )
 
 
@@ -185,61 +202,8 @@ def default_circuit() -> AncillaCircuit:
 
 
 def _op_flip_prob(kind: str, noise: NoiseParams) -> float:
-    if kind in ("prep_zero", "prep_plus"):
-        return noise.init_flip
-    if kind == "wait":
-        return noise.wait_flip
-    if kind == "measure":
-        return noise.meas_flip
-    raise ValueError(kind)
-
-
-def simulate_once(
-    circuit: AncillaCircuit, rng: np.random.Generator, noise: NoiseParams
-) -> tuple[int, bool]:
-    """One noisy pass through the circuit.
-
-    Returns (7-bit block X pattern, accepted).  Faults follow the ideal
-    action of each op; measurement noise flips the recorded bit.
-    """
-    state = 0
-    accepted = True
-    for op in circuit.ops:
-        if op.kind == "cx":
-            c, t = op.qubits
-            state ^= ((state >> c) & 1) << t
-            on_c, on_t = sample_two_qubit_fault(rng, noise)
-            state ^= (on_c << c) | (on_t << t)
-        elif op.kind == "measure":
-            q = op.qubits[0]
-            bit = (state >> q) & 1
-            if rng.random() < noise.meas_flip:
-                bit ^= 1
-            if bit:
-                accepted = False
-        else:
-            q = op.qubits[0]
-            if rng.random() < _op_flip_prob(op.kind, noise):
-                state ^= 1 << q
-    return state & 0x7F, accepted
-
-
-def prepare_verified_ancilla(
-    rng: np.random.Generator,
-    noise: NoiseParams,
-    circuit: AncillaCircuit | None = None,
-    retry_cap: int = 1000,
-) -> int:
-    """Sample an accepted ancilla block pattern, retrying rejected attempts."""
-    circuit = circuit or default_circuit()
-    for _ in range(retry_cap):
-        pattern, accepted = simulate_once(circuit, rng, noise)
-        if accepted:
-            return pattern
-    raise RetryLimitError(
-        f"ancilla verification failed {retry_cap} times in a row "
-        f"(eps={noise.eps}); check the noise configuration"
-    )
+    return {"prep_zero": noise.init_flip, "prep_plus": noise.init_flip,
+            "wait": noise.wait_flip, "measure": noise.meas_flip}[kind]
 
 
 @dataclass(frozen=True)
@@ -260,8 +224,9 @@ def accepted_distribution(
     from circuit.fault_masks.  One-qubit flips that land on the same mask
     merge into one flip by xor_flip_prob; each CNOT fault is a 4-point step
     on {0, a, b, a ^ b} with probability cnot_flip on each non-zero mask.
-    Every step is a sum of non-negative terms.  Identical to what the
-    rejection-sampling loop in prepare_verified_ancilla draws from.
+    Every step is a sum of non-negative terms.  This is the law of a
+    hardware loop that retries until verification accepts, and the batch
+    sampler draws each round's ancilla from it.
     """
     faults = circuit.fault_masks
     rate = {kind: _op_flip_prob(kind, noise) for kind in faults.kinds}
@@ -298,52 +263,25 @@ class AuditFinding:
     weight: int
 
 
-def _fault_sites(circuit: AncillaCircuit):
-    for k, op in enumerate(circuit.ops):
-        if op.kind == "cx":
-            c, t = op.qubits
-            yield k, 1 << c, "control"
-            yield k, 1 << t, "target"
-            yield k, (1 << c) | (1 << t), "both"
-        elif op.kind == "measure":
-            yield k, 1 << op.qubits[0], "readout"
-        else:
-            yield k, 1 << op.qubits[0], "flip"
-
-
-def _run_with_fault(circuit: AncillaCircuit, at_op: int, mask: int) -> tuple[int, bool]:
-    """Noiseless pass with one X fault injected after op at_op's ideal action."""
-    state = 0
-    accepted = True
-    for k, op in enumerate(circuit.ops):
-        if op.kind == "cx":
-            c, t = op.qubits
-            state ^= ((state >> c) & 1) << t
-        if k == at_op:
-            state ^= mask
-        if op.kind == "measure":
-            # a readout fault was applied as a flip just before this readout
-            if (state >> op.qubits[0]) & 1:
-                accepted = False
-    return state & 0x7F, accepted
-
-
 def single_fault_audit(circuit: AncillaCircuit | None = None) -> list[AuditFinding]:
     """Exhaustive single-X-fault check of the preparation circuit.
 
-    Injects every X-component fault at every location, propagates it
-    noiselessly and flags any ACCEPTED outcome whose block pattern is not
+    Reads the final mask of every X-component fault at every location
+    from circuit.fault_masks.sites.  A fault is accepted when its mask
+    leaves every verification bit at 0, and its block pattern is the low 7
+    bits.  Flags any ACCEPTED outcome whose block pattern is not
     equivalent (up to the X-stabilizer group) to a weight <= 1 error: such a
     pattern corrupts the syndrome while standing for at least two independent
     data miscorrections.  Equivalently: nonzero syndrome and even weight.
     An empty report means the verification catches everything it must.
     """
     circuit = circuit or default_circuit()
+    verify = sum(1 << q for q in circuit.measured_qubits)
     findings = []
-    for k, mask, fault in _fault_sites(circuit):
-        pattern, accepted = _run_with_fault(circuit, k, mask)
-        if not accepted:
+    for k, fault, mask in circuit.fault_masks.sites:
+        if mask & verify:
             continue
+        pattern = mask & 0x7F
         syn = int(SYNDROME[pattern])
         if syn != 0 and int(WEIGHT[pattern]) % 2 == 0:
             op = circuit.ops[k]

@@ -26,7 +26,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ancilla import AncillaCircuit, accepted_distribution, default_circuit
-from .faultsim import round_output, sample_round_faults, wilson_interval
+from .faultsim import (
+    derive_seed,
+    round_output,
+    sample_round_faults,
+    wilson_interval,
+)
 from .model import AbstractRates, as_count, as_rate, rates_at
 from .noise import NoiseParams
 from .steane import RESIDUAL_LOGICAL, WEIGHT
@@ -237,13 +242,10 @@ def calibrate(
     divisor = SPECTATOR_COUNT if normalization == "per_spectator" else 1.0
     points = []
     for j, eps_g in enumerate(eps_g_grid):
-        point_seed = int(
-            np.random.SeedSequence([seed, j]).generate_state(1, np.uint64)[0]
-        )
         positions = measure_position_rates(
             1.5 * as_rate("eps_g", eps_g),
             shots,
-            seed=point_seed,
+            seed=derive_seed(seed, j),
             noise_options=noise_options,
             circuit=circuit,
         )

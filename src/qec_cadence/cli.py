@@ -18,8 +18,6 @@ import os
 import sys
 from dataclasses import dataclass, fields
 
-import numpy as np
-
 from .calibration import (
     DEFAULT_EPS_G_GRID,
     DEFAULT_SHOTS,
@@ -28,7 +26,12 @@ from .calibration import (
     CalibrationResult,
     calibrate,
 )
-from .faultsim import SimulationAbort, TrajectoryConfig, estimate_many
+from .faultsim import (
+    SimulationAbort,
+    TrajectoryConfig,
+    derive_seed,
+    estimate_many,
+)
 from .model import (
     Schedule,
     approx_coefficients,
@@ -200,12 +203,6 @@ def rate_coefficients(config: Config) -> dict:
             f"cannot load calibration record {record_path}: {exc}"
         ) from exc
     return result.coefficients
-
-
-def derive_seed(master_seed: int, index: int) -> int:
-    """Deterministic per-grid-point seed; independent of execution order."""
-    seq = np.random.SeedSequence([master_seed, index])
-    return int(seq.generate_state(1, np.uint64)[0])
 
 
 def _fmt(x: float) -> str:

@@ -6,14 +6,9 @@ tracked), then one syndrome-extraction round that is skipped with
 probability eps_a.  The round couples a verified ancilla to the data with 7
 transversal CNOTs, reads the ancilla out and applies the decoded correction
 to the Pauli frame.  A trajectory fails if the final frame decodes to a
-logical flip.
-
-Two execution paths exist on purpose: an event-by-event path (qec_round,
-run_trajectory) kept simple enough to inspect, and a sparse batch kernel
-behind estimate_pl_mc.  The batch kernel draws the accepted-ancilla
-pattern directly from the exact conditional distribution of the
-preparation circuit, which is what the retry loop converges to; tests hold
-the two paths to the same statistics.
+logical flip.  The round's ancilla is drawn from the exact accepted law
+of the preparation circuit (ancilla.accepted_distribution), which is what
+a preparation retried until verification accepts produces.
 
 Sparse sampling.  At the rates of interest almost every shot-block sees no
 fault, so the batch kernel draws fault locations only, as geometric gaps
@@ -55,20 +50,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ancilla import (
-    AncillaCircuit,
-    RetryLimitError,
-    accepted_distribution,
-    default_circuit,
-    prepare_verified_ancilla,
-)
+from .ancilla import AncillaCircuit, accepted_distribution, default_circuit
 from .model import Schedule, as_count, as_rate
-from .noise import (
-    NoiseParams,
-    parity_flip_prob,
-    sample_one_qubit_fault,
-    sample_two_qubit_fault,
-)
+from .noise import NoiseParams, parity_flip_prob
 from .steane import DECODE, RESIDUAL_LOGICAL, SYNDROME
 
 RETRY_CAP = 1000
@@ -79,6 +63,12 @@ CHUNK_EVENTS = 1 << 16
 
 class SimulationAbort(RuntimeError):
     """The simulation cannot produce valid samples with this configuration."""
+
+
+def derive_seed(master_seed: int, index: int) -> int:
+    """Deterministic per-grid-point seed; independent of execution order."""
+    seq = np.random.SeedSequence([master_seed, index])
+    return int(seq.generate_state(1, np.uint64)[0])
 
 
 def wilson_interval(failures: int, shots: int, z: float = 1.96) -> tuple[float, float]:
@@ -133,56 +123,6 @@ class PlEstimate:
         lo, hi = wilson_interval(failures, shots)
         return cls(failures=failures, shots=shots, p_hat=failures / shots,
                    ci_low=lo, ci_high=hi)
-
-
-# ---------------------------------------------------------------------------
-# event-by-event path
-
-
-def qec_round(
-    pattern: int,
-    rng: np.random.Generator,
-    noise: NoiseParams,
-    skip: bool = False,
-    circuit: AncillaCircuit | None = None,
-) -> int:
-    """One syndrome-extraction round applied to a 7-bit data X pattern."""
-    if skip:
-        return pattern
-    try:
-        anc = prepare_verified_ancilla(rng, noise, circuit, retry_cap=RETRY_CAP)
-    except RetryLimitError as exc:
-        raise SimulationAbort(str(exc)) from exc
-    data = pattern
-    measured = anc ^ pattern  # ideal transversal copy of the data frame
-    for q in range(7):
-        on_data, on_anc = sample_two_qubit_fault(rng, noise)
-        data ^= on_data << q
-        measured ^= on_anc << q
-    for q in range(7):
-        if rng.random() < noise.meas_flip:
-            measured ^= 1 << q
-    return data ^ int(DECODE[SYNDROME[measured]])
-
-
-def run_trajectory(
-    cfg: TrajectoryConfig,
-    rng: np.random.Generator,
-    circuit: AncillaCircuit | None = None,
-) -> bool:
-    """One full trajectory; True means the run ends in a logical flip."""
-    data = 0
-    for _ in range(cfg.blocks):
-        for _ in range(cfg.m):
-            for q in range(7):
-                data ^= sample_one_qubit_fault(rng, cfg.noise) << q
-        skip = rng.random() < cfg.eps_a
-        data = qec_round(data, rng, cfg.noise, skip=skip, circuit=circuit)
-    return bool(RESIDUAL_LOGICAL[data])
-
-
-# ---------------------------------------------------------------------------
-# sparse path
 
 
 class RoundFaults(NamedTuple):
@@ -353,12 +293,13 @@ def _simulate_batch(
 
 
 def _check_retry_feasibility(cfg: TrajectoryConfig, p_accept: float) -> None:
-    """Mirror the event path's retry cap in the batched path.
+    """Refuse configs whose ancilla retries would run out.
 
-    The event path aborts after RETRY_CAP consecutive rejections; the
-    batched path samples the accepted distribution directly and would never
-    notice.  Refuse configurations where the event path would abort with
-    non-negligible probability, so both paths agree on what is runnable.
+    A round's hardware retries a rejected ancilla at most RETRY_CAP times
+    and aborts the run after that.  The batch kernel draws accepted
+    ancillas directly and would never notice, so a config is runnable only
+    if any of its performed rounds exhausts the cap with probability below
+    1e-9.
     """
     performed = cfg.shots * cfg.blocks * (1.0 - cfg.eps_a)
     if performed <= 0:

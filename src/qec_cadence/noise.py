@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .model import as_rate
 
 
@@ -112,26 +110,3 @@ def parity_flip_prob(p: float, repeats: int) -> float:
         repeats >>= 1
     return net
 
-
-def sample_one_qubit_fault(rng: np.random.Generator, noise: NoiseParams) -> int:
-    """X component (0/1) of one noisy one-qubit gate."""
-    return int(rng.random() < noise.eps_g)
-
-
-def sample_two_qubit_fault(
-    rng: np.random.Generator, noise: NoiseParams
-) -> tuple[int, int]:
-    """(control X, target X) components of one noisy CNOT.
-
-    P(1,0) = P(0,1) = P(1,1) = noise.cnot_flip; the remaining fault mass is
-    pure Z.
-    """
-    u = rng.random()
-    p = noise.cnot_flip
-    if u < p:
-        return 1, 0
-    if u < 2.0 * p:
-        return 0, 1
-    if u < 3.0 * p:
-        return 1, 1
-    return 0, 0

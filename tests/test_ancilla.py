@@ -1,4 +1,4 @@
-"""Verified ancilla preparation: schedule shape, sampling, exhaustive audit.
+"""Verified ancilla preparation: schedule shape, exact law, exhaustive audit.
 
 The single-fault audit is the safety net for the whole simulator: any
 accepted single-fault outcome that looks like two independent data errors
@@ -13,18 +13,48 @@ from qec_cadence import steane
 from qec_cadence.ancilla import (
     AncillaCircuit,
     Op,
-    RetryLimitError,
-    _fault_sites,
-    _run_with_fault,
     accepted_distribution,
     build_verified_plus_circuit,
     default_circuit,
-    prepare_verified_ancilla,
-    simulate_once,
     single_fault_audit,
     strip_verification,
 )
 from qec_cadence.noise import NoiseParams
+
+
+def _fault_sites(circuit):
+    """(op index, injected X mask, fault label) of every single fault."""
+    for k, op in enumerate(circuit.ops):
+        if op.kind == "cx":
+            c, t = op.qubits
+            yield k, 1 << c, "control"
+            yield k, 1 << t, "target"
+            yield k, (1 << c) | (1 << t), "both"
+        elif op.kind == "measure":
+            yield k, 1 << op.qubits[0], "readout"
+        else:
+            yield k, 1 << op.qubits[0], "flip"
+
+
+def _run_with_fault(circuit, at_op, mask):
+    """Noiseless forward pass with one X fault injected after op at_op.
+
+    The forward-propagation reference for FaultMasks.compile's backward
+    walk: returns (7-bit block pattern, accepted).
+    """
+    state = 0
+    accepted = True
+    for k, op in enumerate(circuit.ops):
+        if op.kind == "cx":
+            c, t = op.qubits
+            state ^= ((state >> c) & 1) << t
+        if k == at_op:
+            state ^= mask
+        if op.kind == "measure":
+            # a readout fault was applied as a flip just before this readout
+            if (state >> op.qubits[0]) & 1:
+                accepted = False
+    return state & 0x7F, accepted
 
 
 def op_by_op_distribution(circuit, noise):
@@ -133,20 +163,19 @@ class TestCircuitValidation:
         with pytest.raises(ValueError):
             AncillaCircuit(ops=(Op("wait", (0,), 0),), n_qubits=1)
 
+    @pytest.mark.parametrize("op", [
+        Op("cx", (0, 0), 1),  # control and target the same qubit
+        Op("cx", (0,), 1),
+        Op("hadamard", (0,), 0),  # not a kind the fault masks know
+        Op("wait", (0, 1), 1),  # a one-qubit op on two qubits
+        Op("measure", (), 1),
+    ], ids=str)
+    def test_rejects_malformed_op(self, op):
+        with pytest.raises(ValueError):
+            AncillaCircuit(ops=(op, Op("measure", (2,), 2)), n_qubits=3)
+
 
 class TestNoiselessBehavior:
-    def test_simulate_once_is_clean(self):
-        rng = np.random.default_rng(0)
-        pattern, accepted = simulate_once(
-            default_circuit(), rng, NoiseParams(eps=0.0)
-        )
-        assert pattern == 0
-        assert accepted
-
-    def test_prepare_returns_zero_pattern(self):
-        rng = np.random.default_rng(0)
-        assert prepare_verified_ancilla(rng, NoiseParams(eps=0.0)) == 0
-
     def test_exact_distribution_is_a_point_mass(self):
         dist = accepted_distribution(default_circuit(), NoiseParams(eps=0.0))
         assert dist.p_accept == 1.0
@@ -177,25 +206,6 @@ class TestExactDistribution:
 
         ratio = w2(2e-3) / w2(1e-3)
         assert ratio == pytest.approx(4.0, rel=0.15)
-
-    def test_matches_empirical_sampling(self):
-        noise = NoiseParams(eps=0.06)
-        dist = accepted_distribution(default_circuit(), noise)
-        rng = np.random.default_rng(42)
-        n = 40_000
-        accepted_counts = np.zeros(128)
-        n_accept = 0
-        for _ in range(n):
-            pattern, ok = simulate_once(default_circuit(), rng, noise)
-            if ok:
-                n_accept += 1
-                accepted_counts[pattern] += 1
-        sigma_acc = np.sqrt(n * dist.p_accept * (1 - dist.p_accept))
-        assert abs(n_accept - n * dist.p_accept) < 4 * sigma_acc
-        for pattern in np.nonzero(dist.probs >= 0.005)[0]:
-            p = dist.probs[pattern]
-            sigma = np.sqrt(n_accept * p * (1 - p))
-            assert abs(accepted_counts[pattern] - n_accept * p) < 4.5 * sigma
 
 
 class TestFaultMasks:
@@ -244,27 +254,25 @@ class TestMatchesOpByOpReference:
         np.testing.assert_allclose(got.probs, want, rtol=1e-14, atol=0)
 
 
-class TestRetries:
-    def test_zero_cap_raises(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(RetryLimitError):
-            prepare_verified_ancilla(
-                rng, NoiseParams(eps=0.01), retry_cap=0
-            )
-
-    def test_rejection_retries_until_acceptance(self):
-        # hot noise rejects often; the sampler must still return patterns
-        # drawn from the conditional distribution
-        rng = np.random.default_rng(5)
-        noise = NoiseParams(eps=0.2)
-        for _ in range(50):
-            pattern = prepare_verified_ancilla(rng, noise)
-            assert 0 <= pattern < 128
-
-
 class TestSingleFaultAudit:
     def test_default_schedule_audits_clean(self):
         assert single_fault_audit() == []
+
+    @pytest.mark.parametrize("circuit", sorted(CIRCUITS))
+    def test_matches_forward_propagation(self, circuit):
+        # the same findings, in the same order, as injecting each fault
+        # and running the circuit forward
+        c = CIRCUITS[circuit]
+        want = []
+        for k, mask, fault in _fault_sites(c):
+            pattern, accepted = _run_with_fault(c, k, mask)
+            if accepted and steane.syndrome_of(pattern) != 0 \
+                    and steane.pattern_weight(pattern) % 2 == 0:
+                want.append((k, fault, pattern))
+        got = [(f.op_index, f.fault, f.pattern) for f in single_fault_audit(c)]
+        assert got == want
+        assert [(k, fault) for k, fault, _ in c.fault_masks.sites] == [
+            (k, fault) for k, _, fault in _fault_sites(c)]
 
     def test_verification_actually_rejects_something(self):
         c = default_circuit()

@@ -6,6 +6,7 @@ so the whole file stays fast while still driving main() end to end.
 import json
 import multiprocessing
 import os
+import re
 from pathlib import Path
 
 import pytest
@@ -364,6 +365,16 @@ class TestShippedConfigs:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "eps_g,eps_a,m_min,argmin_m,argmin_pl"
         assert len(lines) == 1 + 3 * 11
+
+
+class TestReadme:
+    def test_python_quick_start_runs(self, capsys):
+        # an API change must not leave the documented example broken
+        readme = (CONFIGS_DIR.parent / "README.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+        assert len(blocks) == 1
+        exec(compile(blocks[0], "README.md", "exec"), {})
+        assert len(capsys.readouterr().out.splitlines()) == 3
 
 
 class TestMminCommand:

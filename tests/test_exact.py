@@ -324,8 +324,8 @@ class TestKernelPower:
         assert time.perf_counter() - t0 < 5.0
 
 
-class TestTransferCache:
-    def test_writing_a_returned_transfer_leaves_the_cache_alone(self):
+class TestCallsShareNoState:
+    def test_writing_a_returned_transfer_leaves_later_calls_alone(self):
         noise = NoiseParams(eps=1e-3)
         before = logical_error_exact(noise, 0.3, 30, 3)
         rates_before = single_round_rates(noise)

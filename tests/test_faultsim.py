@@ -1,11 +1,11 @@
 """Monte Carlo sampler: statistics plumbing, physics, determinism.
 
-The sparse batch kernel is validated three ways: against the ideal
-decoder at zero noise, against the exact 128-state reference at hot noise
-(no sampling ambiguity about which one is wrong: the reference is exact),
-and against the event-by-event path that draws faults one at a time.
-Neither reference shares code with the kernel: the exact evaluator
-propagates distributions, and the event path draws every location.
+The sparse batch kernel is validated against the ideal decoder at zero
+noise, and against the exact evaluator at hot noise, both for one round's
+output histogram and for a whole trajectory's failure rate.  The exact
+side has no sampling noise, so a disagreement is the kernel's.  The exact
+evaluator propagates distributions and shares no code with the kernel,
+which draws every fault channel itself through sample_round_faults.
 """
 import tracemalloc
 
@@ -13,13 +13,13 @@ import numpy as np
 import pytest
 
 from qec_cadence import steane
-from qec_cadence.ancilla import (
-    accepted_distribution,
-    default_circuit,
-    prepare_verified_ancilla,
-)
+from qec_cadence.ancilla import accepted_distribution, default_circuit
 from qec_cadence.calibration import measure_position_rates
-from qec_cadence.exact import logical_error_exact, parity_flip_prob
+from qec_cadence.exact import (
+    logical_error_exact,
+    parity_flip_prob,
+    syndrome_extraction_transfer,
+)
 from qec_cadence.faultsim import (
     DEFAULT_BATCH_SIZE,
     PlEstimate,
@@ -29,9 +29,7 @@ from qec_cadence.faultsim import (
     _event_positions,
     _simulate_batch,
     estimate_pl_mc,
-    qec_round,
     round_output,
-    run_trajectory,
     sample_round_faults,
     wilson_interval,
 )
@@ -99,41 +97,10 @@ class TestConfig:
         assert (est.ci_low, est.ci_high) == wilson_interval(7, 100)
 
 
-class TestEventPath:
-    def test_noiseless_round_is_the_ideal_decoder(self):
-        rng = np.random.default_rng(0)
-        noise = NoiseParams(eps=0.0)
-        for e in range(128):
-            residual, _ = steane.apply_ideal_qec(e)
-            assert qec_round(e, rng, noise) == residual
-
-    def test_skipped_round_is_a_no_op_even_under_noise(self):
-        rng = np.random.default_rng(1)
-        noise = NoiseParams(eps=0.2)
-        state0 = rng.bit_generator.state
-        for e in (0, 5, 127):
-            assert qec_round(e, rng, noise, skip=True) == e
-        # skipping must not consume randomness either
-        assert rng.bit_generator.state == state0
-
-    def test_noiseless_trajectory_never_fails(self):
-        rng = np.random.default_rng(2)
-        cfg = make_cfg(noise=NoiseParams(eps=0.0), shots=1)
-        assert not run_trajectory(cfg, rng)
-
-    def test_event_path_matches_exact_reference(self):
-        cfg = make_cfg(shots=1)
-        p_exact = logical_error_exact(cfg.noise, cfg.eps_a, cfg.n_gates, cfg.m)
-        rng = np.random.default_rng(77)
-        n = 12_000
-        fails = sum(run_trajectory(cfg, rng) for _ in range(n))
-        sigma = np.sqrt(n * p_exact * (1 - p_exact))
-        assert abs(fails - n * p_exact) < 4 * sigma
-
-
 class TestVectorizedRound:
-    def test_matches_event_round_statistics(self):
-        # same input pattern, both paths, compare output histograms
+    def test_matches_exact_round_transfer(self):
+        # the sparse round's output histogram against the exact transfer
+        # row of the same input pattern: only the sampled side fluctuates
         noise = NoiseParams(eps=0.05)
         anc_probs = accepted_distribution(default_circuit(), noise).probs
         pattern = np.uint8(steane.pattern_from_qubits([2, 6]))
@@ -142,19 +109,11 @@ class TestVectorizedRound:
         outs = np.full(n, round_output(pattern, 0, 0), dtype=np.uint8)
         outs[faults.index] = round_output(
             pattern, faults.on_data, faults.on_measured)
-        vec_counts = np.bincount(outs, minlength=128)
-
-        rng = np.random.default_rng(4)
-        ev_counts = np.zeros(128, dtype=int)
-        for _ in range(n):
-            ev_counts[qec_round(int(pattern), rng, noise)] += 1
-
-        for out in range(128):
-            p = max(vec_counts[out], ev_counts[out]) / n
-            if p == 0:
-                continue
-            sigma = np.sqrt(2 * n * p * (1 - p))  # both sides fluctuate
-            assert abs(vec_counts[out] - ev_counts[out]) < 5 * sigma
+        counts = np.bincount(outs, minlength=128)
+        probs = syndrome_extraction_transfer(noise)[pattern]
+        assert np.all(counts[probs == 0] == 0)
+        sigma = np.sqrt(n * probs * (1 - probs))
+        assert np.all(np.abs(counts - n * probs) <= 5 * sigma)
 
     def test_one_sorted_entry_per_faulty_round(self):
         noise = NoiseParams(eps=0.05)
@@ -281,18 +240,6 @@ class TestStreamPin:
         assert [(p.two_count, p.one_count) for p in positions] == [
             (88, 27), (107, 28), (82, 24), (74, 38), (88, 16), (92, 18),
             (90, 27),
-        ]
-
-    def test_event_path(self):
-        cfg = make_cfg(n_gates=6, m=2, eps_a=0.3, noise=NoiseParams(eps=0.03))
-        rng = np.random.default_rng(5)
-        assert sum(run_trajectory(cfg, rng) for _ in range(300)) == 95
-        rng = np.random.default_rng(8)
-        patterns = [prepare_verified_ancilla(rng, NoiseParams(eps=0.05))
-                    for _ in range(40)]
-        assert patterns == [
-            0, 8, 0, 0, 0, 1, 24, 0, 98, 1, 8, 75, 25, 0, 0, 0, 0, 0, 2, 0,
-            0, 0, 0, 3, 0, 0, 0, 8, 0, 0, 0, 8, 0, 14, 0, 34, 0, 16, 16, 42,
         ]
 
 

@@ -1,7 +1,6 @@
-"""Noise-model identities and sampler statistics."""
+"""Noise-model identities."""
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from qec_cadence.noise import (
@@ -9,8 +8,6 @@ from qec_cadence.noise import (
     bit_error_rates,
     parity_flip_prob,
     xor_flip_prob,
-    sample_one_qubit_fault,
-    sample_two_qubit_fault,
 )
 
 
@@ -132,40 +129,3 @@ class TestNoiseParams:
         with pytest.raises(Exception):
             n.eps = 0.2
 
-
-class TestSamplers:
-    def test_one_qubit_fault_frequency(self):
-        rng = np.random.default_rng(7)
-        eps, n = 0.15, 200_000
-        noise = NoiseParams(eps=eps)
-        hits = sum(sample_one_qubit_fault(rng, noise) for _ in range(n))
-        p = 2 * eps / 3
-        sigma = np.sqrt(n * p * (1 - p))
-        assert abs(hits - n * p) < 4 * sigma
-
-    def test_one_qubit_fault_extremes(self):
-        rng = np.random.default_rng(0)
-        assert sample_one_qubit_fault(rng, NoiseParams(eps=0.0)) == 0
-        assert sample_one_qubit_fault(rng, NoiseParams(eps=1.0)) in (0, 1)
-
-    def test_two_qubit_fault_class_frequencies(self):
-        # each X-carrying class (control only, target only, both) occurs
-        # with probability 4*eps/15; check all three at 4 sigma
-        rng = np.random.default_rng(11)
-        eps, n = 0.15, 1_000_000
-        noise = NoiseParams(eps=eps)
-        counts = {(1, 0): 0, (0, 1): 0, (1, 1): 0, (0, 0): 0}
-        for _ in range(n):
-            counts[sample_two_qubit_fault(rng, noise)] += 1
-        p = 4 * eps / 15
-        sigma = np.sqrt(n * p * (1 - p))
-        for cls in ((1, 0), (0, 1), (1, 1)):
-            assert abs(counts[cls] - n * p) < 4 * sigma
-        assert counts[(0, 0)] == n - sum(
-            counts[c] for c in ((1, 0), (0, 1), (1, 1))
-        )
-
-    def test_two_qubit_fault_zero_strength_is_silent(self):
-        rng = np.random.default_rng(3)
-        for _ in range(100):
-            assert sample_two_qubit_fault(rng, NoiseParams(eps=0.0)) == (0, 0)
