@@ -28,6 +28,7 @@ from qec_cadence.faultsim import (
     _check_retry_feasibility,
     _event_positions,
     _simulate_batch,
+    _skip_faulty_rounds,
     estimate_pl_mc,
     round_output,
     sample_round_faults,
@@ -43,6 +44,10 @@ def make_cfg(**overrides):
     )
     base.update(overrides)
     return TrajectoryConfig(**base)
+
+
+# the accepted-ancilla law of a noiseless preparation: always pattern 0
+CLEAN_ANCILLA = np.eye(128)[0]
 
 
 class TestWilson:
@@ -121,6 +126,80 @@ class TestVectorizedRound:
         faults = sample_round_faults(np.random.default_rng(5), 5000, noise, anc_probs)
         assert np.all(np.diff(faults.index) > 0)
         assert 0 <= faults.index[0] and faults.index[-1] < 5000
+
+    def test_noiseless_round_is_the_ideal_decoder(self):
+        for e in range(128):
+            residual, _ = steane.apply_ideal_qec(e)
+            assert round_output(np.uint8(e), 0, 0) == residual
+        faults = sample_round_faults(
+            np.random.default_rng(0), 1000, NoiseParams(eps=0.0), CLEAN_ANCILLA)
+        assert all(a.size == 0 for a in faults)
+
+    def test_ancilla_patterns_follow_the_accepted_law(self):
+        # no CNOT or readout faults: a round's only fault is its ancilla,
+        # so the measured-side histogram is a sample of the accepted law
+        anc_probs = accepted_distribution(
+            default_circuit(), NoiseParams(eps=0.06)).probs
+        n = 40_000
+        faults = sample_round_faults(
+            np.random.default_rng(42), n, NoiseParams(eps=0.0), anc_probs)
+        assert not faults.on_data.any()
+        counts = np.bincount(faults.on_measured, minlength=128)
+        assert counts[0] == 0
+        counts[0] = n - faults.index.size
+        assert np.all(counts[anc_probs == 0] == 0)
+        sigma = np.sqrt(n * anc_probs * (1 - anc_probs))
+        assert np.all(np.abs(counts - n * anc_probs) <= 5 * sigma)
+
+    def test_cnot_classes_each_fire_at_the_cnot_rate(self):
+        # clean ancillas and no readout flips: every (round, qubit) carries
+        # at most one CNOT X-class, data only, copy only or both, each at
+        # cnot_flip (4 eps / 15)
+        noise = NoiseParams(eps=0.15, include_meas_error=False)
+        n = 20_000
+        faults = sample_round_faults(
+            np.random.default_rng(7), n, noise, CLEAN_ANCILLA)
+        bits = np.left_shift(1, np.arange(7, dtype=np.uint8))
+        on_data = (faults.on_data[:, None] & bits) != 0
+        on_copy = (faults.on_measured[:, None] & bits) != 0
+        counts = [np.count_nonzero(on_data & ~on_copy),
+                  np.count_nonzero(~on_data & on_copy),
+                  np.count_nonzero(on_data & on_copy)]
+        trials, p = 7 * n, noise.cnot_flip
+        sigma = np.sqrt(trials * p * (1 - p))
+        assert all(abs(c - trials * p) < 4 * sigma for c in counts), counts
+
+    def test_readout_flips_every_qubit_at_the_rate(self):
+        noise = NoiseParams(eps=0.0, p_meas=0.1)
+        n = 20_000
+        faults = sample_round_faults(
+            np.random.default_rng(11), n, noise, CLEAN_ANCILLA)
+        assert not faults.on_data.any()
+        bits = np.left_shift(1, np.arange(7, dtype=np.uint8))
+        hits = np.count_nonzero(faults.on_measured[:, None] & bits, axis=0)
+        sigma = np.sqrt(n * noise.meas_flip * (1 - noise.meas_flip))
+        assert np.all(np.abs(hits - n * noise.meas_flip) < 4 * sigma), hits
+
+
+class TestSkipFaultyRounds:
+    @pytest.mark.parametrize("eps_a", [0.0, 0.3, 1.0])
+    def test_each_faulty_round_is_skipped_once_at_eps_a(self, eps_a):
+        noise = NoiseParams(eps=0.05)
+        anc_probs = accepted_distribution(default_circuit(), noise).probs
+        faults = sample_round_faults(np.random.default_rng(5), 5000, noise, anc_probs)
+        rng, twin = np.random.default_rng(6), np.random.default_rng(6)
+        performed, skipped = _skip_faulty_rounds(rng, faults, eps_a)
+        # performed and skipped split the faulty rounds; performed ones
+        # keep their faults entry for entry
+        kept = np.isin(faults.index, performed.index)
+        np.testing.assert_array_equal(skipped, faults.index[~kept])
+        for got, full in zip(performed, faults):
+            np.testing.assert_array_equal(got, full[kept])
+        n = faults.index.size
+        sigma = np.sqrt(n * eps_a * (1 - eps_a))
+        assert abs(skipped.size - n * eps_a) <= 5 * sigma
+        # the stream contract: one uniform per faulty round, no more
+        assert rng.random() == twin.random(n + 1)[-1]
 
 
 class TestEventPositions:
