@@ -22,18 +22,23 @@ the draw order is:
      non-trivial accepted ancillas and their patterns, CNOT X-classes,
      readout flips;
   3. one skip uniform per (block, shot) with a round fault, in that order;
-
-then, block by block, one skip uniform per "dirty" shot that has no round
-fault in the block, in shot order.  Dirty means the data's syndrome is
-non-zero; a corrected stabilizer or logical residual is quiescent.
+  4. two uniforms per event, a (shot, block) with a gate flip or a round
+     fault: rng.random((2, k)) for the k events of each rank, ranks in
+     order and shots in order within a rank, where an event's rank is
+     its place among its shot's events in the chunk.  Row 0 is for the
+     gap before the event, row 1 for its own round.
 
 Skip rule.  A round is skipped with probability eps_a, independently of
 its faults, and each (block, shot) draws its skip at most once.  A faulty
 round draws it in step 3; if skipped, all its faults are dropped and the
 data stays as it was, with no second draw.  A fault-free round changes
-the data only if the syndrome is non-zero, so only dirty shots draw a skip
-for it.  Work scales with faults plus dirty shot-blocks, not with shots x
-blocks.
+the data only if the syndrome is non-zero ("dirty"), and a performed one
+corrects it, so a dirty shot stays uncorrected through a gap of j
+fault-free rounds with probability eps_a**j.  Each event resolves the gap
+since its shot's last event (carried across chunks), then its gate flips,
+then its own round.  After a shot's last event nothing is drawn: a
+correction never changes the logical verdict.  Work scales with faults,
+not with shots x blocks.
 
 Determinism contract: every batch seeds its generator from
 SeedSequence([master_seed, batch_index]), its chunk layout depends on its
@@ -166,7 +171,7 @@ def _qubit_bits(positions: np.ndarray) -> np.ndarray:
 
 
 def _merge_rounds(index: np.ndarray, *masks: np.ndarray) -> tuple:
-    """Merge the entries of each round of a sorted index, XOR-ing masks."""
+    """Merge the entries of each key of a sorted index, XOR-ing masks."""
     if index.size == 0:
         return (index, *masks)
     starts = np.flatnonzero(np.diff(index, prepend=-1))
@@ -248,47 +253,46 @@ def _simulate_batch(
     )
     p_gate = parity_flip_prob(cfg.noise.eps_g, cfg.m)
     chunk = _chunk_blocks(cfg, n, p_gate, anc_probs)
+    # skip probability of an event's own round: fault-free, performed, skipped
+    skip_prob = np.array([cfg.eps_a, 0.0, 1.0])
     data = np.zeros(n, dtype=np.uint8)
-    dirty = np.empty(0, dtype=np.int64)  # shots whose syndrome is non-zero
-    faulty = np.zeros(n, dtype=bool)  # per block: shots with a round fault
+    settled = np.full(n, -1, dtype=np.int64)  # block of each shot's last event
     for first in range(0, cfg.blocks, chunk):
         blocks = min(chunk, cfg.blocks - first)
         gates = _event_positions(rng, 7 * blocks * n, p_gate)
-        gate_round, gate_flip = _merge_rounds(gates // 7, _qubit_bits(gates))
         performed, skipped = _skip_faulty_rounds(
             rng, sample_round_faults(rng, blocks * n, cfg.noise, anc_probs), cfg.eps_a
         )
-        # every stream is sorted by block; slice each one block at a time
-        edges = np.arange(blocks + 1) * n
-        gate_at = np.searchsorted(gate_round, edges)
-        done_at = np.searchsorted(performed.index, edges)
-        skip_at = np.searchsorted(skipped, edges)
-        gate_shot = gate_round % n
-        done_shot = performed.index % n
-        skip_shot = skipped % n
-        for k in range(blocks):
-            g = slice(gate_at[k], gate_at[k + 1])
-            f = slice(done_at[k], done_at[k + 1])
-            s = slice(skip_at[k], skip_at[k + 1])
-            if not dirty.size and g.start == g.stop and f.start == f.stop \
-                    and s.start == s.stop:
-                continue
-            data[gate_shot[g]] ^= gate_flip[g]
-            touched = np.unique(np.concatenate(
-                (dirty, gate_shot[g], done_shot[f], skip_shot[s])))
-            faulty[done_shot[f]] = True
-            faulty[skip_shot[s]] = True
-            quiet = touched[~faulty[touched]]
-            faulty[done_shot[f]] = False
-            faulty[skip_shot[s]] = False
-            # fault-free rounds: only dirty shots draw a skip
-            quiet = quiet[SYNDROME[data[quiet]] != 0]
-            fixed = quiet[rng.random(quiet.size) >= cfg.eps_a]
-            data[fixed] = round_output(data[fixed], 0, 0)
-            shots = done_shot[f]
-            data[shots] = round_output(
-                data[shots], performed.on_data[f], performed.on_measured[f])
-            dirty = touched[SYNDROME[data[touched]] != 0]
+        # one event per (shot, block) with any fault, sorted shot-major
+        key = np.concatenate((gates // 7, performed.index, skipped))
+        g, p = gates.size, gates.size + performed.index.size
+        flip, on_data, on_measured = np.zeros((3, key.size), dtype=np.uint8)
+        flip[:g] = _qubit_bits(gates)
+        on_data[g:p], on_measured[g:p] = performed.on_data, performed.on_measured
+        kind = np.repeat(np.arange(3, dtype=np.uint8), (g, p - g, skipped.size))
+        key = key % n * blocks + key // n
+        order = np.argsort(key)  # the XOR merge does not depend on order
+        key, flip, on_data, on_measured, kind = _merge_rounds(
+            key[order], flip[order], on_data[order], on_measured[order], kind[order])
+        if not key.size:
+            continue
+        shot, block = np.divmod(key, blocks)
+        start = np.flatnonzero(np.diff(shot, prepend=-1))  # a shot's first event
+        count = np.diff(start, append=key.size)
+        end = start + count - 1
+        # a dirty shot stays uncorrected through the fault-free rounds of a gap
+        gap = np.diff(block, prepend=0) - 1
+        gap[start] = first + block[start] - settled[shot[start]] - 1
+        settled[shot[end]] = first + block[end]
+        stay = cfg.eps_a ** gap
+        for rank in range(count.max()):
+            e = start[count > rank] + rank  # each shot's rank-th event, in shot order
+            s = shot[e]
+            u = rng.random((2, e.size))
+            d = data[s]
+            d = np.where(u[0] >= stay[e], round_output(d, 0, 0), d) ^ flip[e]
+            data[s] = np.where(u[1] >= skip_prob[kind[e]],
+                               round_output(d, on_data[e], on_measured[e]), d)
     return int(np.count_nonzero(RESIDUAL_LOGICAL[data]))
 
 

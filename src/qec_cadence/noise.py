@@ -78,10 +78,9 @@ def bit_error_rates(eps: float) -> tuple[float, float, float]:
 
     eps_g is the one-qubit X rate; the coupling CNOT puts an X on the data
     alone (eps_c) or on data and ancilla copy together (eps_d), each with
-    the CNOT class probability NoiseParams.cnot_flip = 2*eps_g/5.
+    the CNOT class probability NoiseParams.cnot_flip = 2*eps_g/5.  Accepts
+    what NoiseParams accepts, eps in [0, 1].
     """
-    if not 0.0 <= eps <= 0.25:
-        raise ValueError(f"eps must be in [0, 0.25], got {eps}")
     noise = NoiseParams(eps=eps)
     return noise.eps_g, noise.cnot_flip, noise.cnot_flip
 

@@ -66,11 +66,6 @@ def pattern_from_qubits(qubits) -> int:
     return e
 
 
-def pattern_qubits(e: int) -> tuple[int, ...]:
-    """1-based qubit numbers carrying an X error."""
-    return tuple(q + 1 for q in range(N_QUBITS) if (e >> q) & 1)
-
-
 def pattern_weight(e: int) -> int:
     return int(WEIGHT[e])
 

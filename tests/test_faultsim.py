@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qec_cadence import steane
+from qec_cadence import faultsim, steane
 from qec_cadence.ancilla import accepted_distribution, default_circuit
 from qec_cadence.calibration import measure_position_rates
 from qec_cadence.exact import (
@@ -257,6 +257,26 @@ class TestBatchKernel:
         assert w_large == pytest.approx(w_small / 2, rel=0.1)
 
 
+class TestChunkCarry:
+    """One block per chunk: every event's gap starts from the carried state.
+
+    Each shot's last event block carries across chunks, and a dirty shot
+    survives a gap of j fault-free rounds with probability eps_a**j.
+    """
+
+    @pytest.mark.parametrize("eps_a", [0.5, 0.9])
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_one_block_chunks_match_exact(self, monkeypatch, eps_a, m):
+        monkeypatch.setattr(faultsim, "CHUNK_EVENTS", 0)
+        cfg = make_cfg(n_gates=24, m=m, eps_a=eps_a, noise=NoiseParams(eps=0.01),
+                       shots=200_000, master_seed=11)
+        assert faultsim._chunk_blocks(cfg, cfg.batch_size, 0.0, CLEAN_ANCILLA) == 1
+        p_exact = logical_error_exact(cfg.noise, eps_a, cfg.n_gates, m)
+        est = estimate_pl_mc(cfg)
+        sigma = np.sqrt(p_exact * (1 - p_exact) / cfg.shots)
+        assert abs(est.p_hat - p_exact) < 5 * sigma
+
+
 class TestHighRates:
     def test_batch_memory_does_not_grow_with_blocks_or_rate(self):
         # the top of every rate range, ~7 faults per shot-block: all the
@@ -312,7 +332,7 @@ class TestStreamPin:
             n_gates=60, m=3, eps_a=0.4, noise=NoiseParams.from_eps_g(2e-3),
             shots=5000, master_seed=2718, batch_size=1024,
         )
-        assert estimate_pl_mc(cfg).failures == 504
+        assert estimate_pl_mc(cfg).failures == 472
 
     def test_single_round_position_counts(self):
         positions = measure_position_rates(6e-3, 7003, seed=31)

@@ -24,7 +24,7 @@ class TestRateIdentities:
         assert eps_d == pytest.approx(8e-4, rel=1e-15)
 
     def test_coupling_rates_are_two_fifths_of_gate_rate(self):
-        for eps in (1e-5, 7e-4, 0.03, 0.25):
+        for eps in (1e-5, 7e-4, 0.03, 0.25, 0.3, 1.0):
             eps_g, eps_c, eps_d = bit_error_rates(eps)
             assert eps_g == pytest.approx(2 * eps / 3, rel=1e-15)
             assert eps_c == eps_d
@@ -32,7 +32,7 @@ class TestRateIdentities:
 
     def test_rejects_out_of_range_strength(self):
         with pytest.raises(ValueError):
-            bit_error_rates(0.3)
+            bit_error_rates(1.5)
         with pytest.raises(ValueError):
             bit_error_rates(-1e-9)
 
