@@ -32,7 +32,7 @@ from .faultsim import (
     sample_round_faults,
     wilson_interval,
 )
-from .model import AbstractRates, as_count, as_rate, rates_at
+from .model import as_count, as_rate
 from .noise import NoiseParams
 from .steane import RESIDUAL_LOGICAL, WEIGHT
 
@@ -150,22 +150,17 @@ class CalibrationResult:
     slope_co_ci: tuple[float, float]
     eps_s_coeff: float
     eps_o_coeff: float
-    eps_c_coeff: float = EPS_C_COEFF
-    eps_d_coeff: float = EPS_D_COEFF
     clamp_warnings: tuple[str, ...] = field(default=())
 
     @property
     def coefficients(self) -> dict:
-        """The fitted rates per eps_g, in the keys model.rates_at reads."""
+        """Rates per eps_g, fitted and exact, in the keys model.rates_at reads."""
         return {
             "eps_s_per_eps_g": self.eps_s_coeff,
             "eps_o_per_eps_g": self.eps_o_coeff,
-            "eps_c_per_eps_g": self.eps_c_coeff,
-            "eps_d_per_eps_g": self.eps_d_coeff,
+            "eps_c_per_eps_g": EPS_C_COEFF,
+            "eps_d_per_eps_g": EPS_D_COEFF,
         }
-
-    def rates_at(self, eps_g: float, eps_a: float = 0.0) -> AbstractRates:
-        return rates_at(self.coefficients, eps_g, eps_a)
 
     def to_record(self) -> dict:
         return {
@@ -178,33 +173,6 @@ class CalibrationResult:
             "clamp_warnings": list(self.clamp_warnings),
             "points": [p.to_record() for p in self.points],
         }
-
-    @classmethod
-    def from_record(cls, record: dict) -> "CalibrationResult":
-        points = tuple(
-            CalibrationPoint(
-                eps_g=p["eps_g"],
-                shots=p["shots"],
-                rate_two=p["rate_two"],
-                rate_one=p["rate_one"],
-                rate_two_ci=tuple(p["rate_two_ci"]),
-                rate_one_ci=tuple(p["rate_one_ci"]),
-            )
-            for p in record["points"]
-        )
-        return cls(
-            points=points,
-            normalization=record["normalization"],
-            slope_sd=record["slope_sd"],
-            slope_co=record["slope_co"],
-            slope_sd_ci=tuple(record["slope_sd_ci"]),
-            slope_co_ci=tuple(record["slope_co_ci"]),
-            eps_s_coeff=record["eps_s_per_eps_g"],
-            eps_o_coeff=record["eps_o_per_eps_g"],
-            eps_c_coeff=record["eps_c_per_eps_g"],
-            eps_d_coeff=record["eps_d_per_eps_g"],
-            clamp_warnings=tuple(record["clamp_warnings"]),
-        )
 
 
 def _slope_and_ci(points, which: str, divisor: float) -> tuple[float, tuple[float, float]]:

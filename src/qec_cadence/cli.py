@@ -23,7 +23,6 @@ from .calibration import (
     DEFAULT_SHOTS,
     EPS_C_COEFF,
     EPS_D_COEFF,
-    CalibrationResult,
     calibrate,
 )
 from .faultsim import (
@@ -86,6 +85,8 @@ DEFAULT_CALIBRATION = {
 }
 
 DEFAULT_SEED = 20260823
+# Section keys whose value is a grid: a non-empty JSON list.
+GRID_KEYS = {"eps_g", "eps_a", "m", "m_grid", "eps_g_grid"}
 
 
 class ConfigError(ValueError):
@@ -99,7 +100,12 @@ def _section(raw: dict, name: str, defaults: dict) -> dict:
     unknown = set(got) - set(defaults)
     if unknown:
         raise ConfigError(f"unknown key(s) in {name!r}: {sorted(unknown)}")
-    return {**defaults, **got}
+    section = {**defaults, **got}
+    for key in GRID_KEYS & set(section):
+        if not isinstance(section[key], list) or not section[key]:
+            raise ConfigError(
+                f"{name}.{key} must be a non-empty list, got {section[key]!r}")
+    return section
 
 
 @dataclass(frozen=True)
@@ -187,22 +193,26 @@ def rate_coefficients(config: Config) -> dict:
     if source == "builtin":
         return dict(BUILTIN_COEFFS)
     if source == "explicit":
-        missing = [k for k in BUILTIN_COEFFS if k not in config.rates]
-        if missing:
-            raise ConfigError(f"explicit rates missing {missing}")
-        return {k: as_rate(k, config.rates[k]) for k in BUILTIN_COEFFS}
-    record_path = config.rates.get("record")
-    if not record_path:
-        raise ConfigError("rates source 'calibrated' needs a 'record' path")
+        given, where = config.rates, "explicit rates"
+    else:
+        path = config.rates.get("record")
+        if not path:
+            raise ConfigError("rates source 'calibrated' needs a 'record' path")
+        where = f"calibration record {path}"
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                given = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"cannot load {where}: {exc}") from exc
+        if not isinstance(given, dict):
+            raise ConfigError(f"{where} must be a JSON object")
+    missing = [k for k in BUILTIN_COEFFS if k not in given]
+    if missing:
+        raise ConfigError(f"{where} missing {missing}")
     try:
-        with open(record_path, "r", encoding="utf-8") as fh:
-            record = json.load(fh)
-        result = CalibrationResult.from_record(record)
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
-        raise ConfigError(
-            f"cannot load calibration record {record_path}: {exc}"
-        ) from exc
-    return result.coefficients
+        return {k: as_rate(k, given[k]) for k in BUILTIN_COEFFS}
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _fmt(x: float) -> str:
@@ -217,15 +227,16 @@ def _noise_for(config: Config, eps_g: float) -> NoiseParams:
 
 
 def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def cmd_sweep(config: Config, seed: int, threads: int, out: str | None) -> int:
     section = config.sweep
     n_gates = section["n_gates"]
-    if not section["eps_g"] or not section["eps_a"] or not section["m"]:
-        raise ConfigError("sweep grids must be nonempty")
     # Build every point before sampling any: the library objects validate
     # the grid, so a bad value anywhere in it fails up front.
     points = []
@@ -269,8 +280,6 @@ def cmd_sweep(config: Config, seed: int, threads: int, out: str | None) -> int:
 
 def cmd_mmin(config: Config, seed: int, threads: int, out: str | None) -> int:
     section = config.mmin
-    if not section["eps_g"] or not section["eps_a"] or not section["m_grid"]:
-        raise ConfigError("mmin grids must be nonempty")
     lines = ["eps_g,eps_a,m_min,argmin_m,argmin_pl"]
     # Pure arithmetic: any ValueError here comes from a bad config value.
     try:
@@ -286,10 +295,10 @@ def cmd_mmin(config: Config, seed: int, threads: int, out: str | None) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     text = "\n".join(lines) + "\n"
-    print(text, end="")
     path = out or config.out
     if path:
         _write_text(path, text)
+    print(text, end="")
     return 0
 
 

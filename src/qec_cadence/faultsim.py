@@ -21,28 +21,26 @@ the draw order is:
   2. the round faults of sample_round_faults over (block, shot):
      non-trivial accepted ancillas and their patterns, CNOT X-classes,
      readout flips;
-  3. one skip uniform per (block, shot) with a round fault, in that order;
-  4. two uniforms per event, a (shot, block) with a gate flip or a round
+  3. two uniforms per event, a (shot, block) with a gate flip or a round
      fault: rng.random((2, k)) for the k events of each rank, ranks in
      order and shots in order within a rank, where an event's rank is
      its place among its shot's events in the chunk.  Row 0 is for the
-     gap before the event, row 1 for its own round.
+     gap before the event, row 1 for the skip of its own round.
 
-Skip rule.  A round is skipped with probability eps_a, independently of
-its faults, and each (block, shot) draws its skip at most once.  A faulty
-round draws it in step 3; if skipped, all its faults are dropped and the
-data stays as it was, with no second draw.  A fault-free round changes
-the data only if the syndrome is non-zero ("dirty"), and a performed one
-corrects it, so a dirty shot stays uncorrected through a gap of j
+Skip rule.  Every round is skipped with probability eps_a, independently
+of its faults, and draws its skip once.  A skipped round leaves the data
+as it was and drops its faults; a performed one applies them and corrects.
+A fault-free round changes the data only if the syndrome is non-zero
+("dirty"), so a dirty shot stays uncorrected through a gap of j
 fault-free rounds with probability eps_a**j.  Each event resolves the gap
 since its shot's last event (carried across chunks), then its gate flips,
 then its own round.  After a shot's last event nothing is drawn: a
 correction never changes the logical verdict.  Work scales with faults,
 not with shots x blocks.
 
-Determinism contract: every batch seeds its generator from
-SeedSequence([master_seed, batch_index]), its chunk layout depends on its
-config alone, and failure counts are reduced as integers.  Results are
+Determinism contract: every batch of BATCH_SHOTS shots seeds its generator
+from SeedSequence([master_seed, batch_index]), its chunk layout depends on
+its config alone, and failure counts are reduced as integers.  Results are
 bit-identical for a given master seed at any worker count; estimate_many
 runs the batches of all its configs in one process pool.
 """
@@ -61,7 +59,8 @@ from .noise import NoiseParams, parity_flip_prob
 from .steane import DECODE, RESIDUAL_LOGICAL, SYNDROME
 
 RETRY_CAP = 1000
-DEFAULT_BATCH_SIZE = 16384
+# Shots per batch: a batch is the unit of seeding and of parallel work.
+BATCH_SHOTS = 16384
 # Expected faults per chunk of blocks: bounds the event arrays at any rate.
 CHUNK_EVENTS = 1 << 16
 
@@ -99,7 +98,6 @@ class TrajectoryConfig:
     noise: NoiseParams
     shots: int
     master_seed: int
-    batch_size: int = DEFAULT_BATCH_SIZE
 
     def __post_init__(self) -> None:
         Schedule(n_gates=self.n_gates, m=self.m)
@@ -107,8 +105,6 @@ class TrajectoryConfig:
             raise ValueError(f"eps_a must be in [0, 1], got {self.eps_a}")
         if as_count("shots", self.shots) < 1:
             raise ValueError("shots must be >= 1")
-        if as_count("batch_size", self.batch_size) < 1:
-            raise ValueError("batch_size must be >= 1")
 
     @property
     def blocks(self) -> int:
@@ -216,21 +212,8 @@ def sample_round_faults(
     return RoundFaults(*_merge_rounds(index[order], on_data[order], on_measured[order]))
 
 
-def _skip_faulty_rounds(
-    rng: np.random.Generator, faults: RoundFaults, eps_a: float
-) -> tuple[RoundFaults, np.ndarray]:
-    """Draw the skip of every faulty round once.
-
-    Returns the faults of the performed rounds and the indices of the
-    skipped ones, which keep their data and draw no skip again.
-    """
-    skipped = rng.random(faults.index.size) < eps_a
-    return RoundFaults(*(a[~skipped] for a in faults)), faults.index[skipped]
-
-
 def _batch_extent(cfg: TrajectoryConfig, batch_index: int) -> int:
-    start = batch_index * cfg.batch_size
-    return min(cfg.batch_size, cfg.shots - start)
+    return min(BATCH_SHOTS, cfg.shots - batch_index * BATCH_SHOTS)
 
 
 def _chunk_blocks(cfg: TrajectoryConfig, shots: int, p_gate: float,
@@ -253,27 +236,22 @@ def _simulate_batch(
     )
     p_gate = parity_flip_prob(cfg.noise.eps_g, cfg.m)
     chunk = _chunk_blocks(cfg, n, p_gate, anc_probs)
-    # skip probability of an event's own round: fault-free, performed, skipped
-    skip_prob = np.array([cfg.eps_a, 0.0, 1.0])
     data = np.zeros(n, dtype=np.uint8)
     settled = np.full(n, -1, dtype=np.int64)  # block of each shot's last event
     for first in range(0, cfg.blocks, chunk):
         blocks = min(chunk, cfg.blocks - first)
         gates = _event_positions(rng, 7 * blocks * n, p_gate)
-        performed, skipped = _skip_faulty_rounds(
-            rng, sample_round_faults(rng, blocks * n, cfg.noise, anc_probs), cfg.eps_a
-        )
+        faults = sample_round_faults(rng, blocks * n, cfg.noise, anc_probs)
         # one event per (shot, block) with any fault, sorted shot-major
-        key = np.concatenate((gates // 7, performed.index, skipped))
-        g, p = gates.size, gates.size + performed.index.size
+        key = np.concatenate((gates // 7, faults.index))
+        g = gates.size
         flip, on_data, on_measured = np.zeros((3, key.size), dtype=np.uint8)
         flip[:g] = _qubit_bits(gates)
-        on_data[g:p], on_measured[g:p] = performed.on_data, performed.on_measured
-        kind = np.repeat(np.arange(3, dtype=np.uint8), (g, p - g, skipped.size))
+        on_data[g:], on_measured[g:] = faults.on_data, faults.on_measured
         key = key % n * blocks + key // n
         order = np.argsort(key)  # the XOR merge does not depend on order
-        key, flip, on_data, on_measured, kind = _merge_rounds(
-            key[order], flip[order], on_data[order], on_measured[order], kind[order])
+        key, flip, on_data, on_measured = _merge_rounds(
+            key[order], flip[order], on_data[order], on_measured[order])
         if not key.size:
             continue
         shot, block = np.divmod(key, blocks)
@@ -291,7 +269,7 @@ def _simulate_batch(
             u = rng.random((2, e.size))
             d = data[s]
             d = np.where(u[0] >= stay[e], round_output(d, 0, 0), d) ^ flip[e]
-            data[s] = np.where(u[1] >= skip_prob[kind[e]],
+            data[s] = np.where(u[1] >= cfg.eps_a,
                                round_output(d, on_data[e], on_measured[e]), d)
     return int(np.count_nonzero(RESIDUAL_LOGICAL[data]))
 
@@ -335,7 +313,7 @@ def estimate_many(
     for cfg in cfgs:
         _check_retry_feasibility(cfg, accepted[cfg.noise].p_accept)
     tasks = [(i, b) for i, cfg in enumerate(cfgs)
-             for b in range(-(-cfg.shots // cfg.batch_size))]
+             for b in range(-(-cfg.shots // BATCH_SHOTS))]
     args = (
         [cfgs[i] for i, _ in tasks],
         [b for _, b in tasks],

@@ -41,6 +41,7 @@ from qec_cadence.model import (
     m_min,
     pairwise_fault_oracle,
     pl_second_order,
+    rates_at,
     table_contributions,
 )
 from qec_cadence.noise import NoiseParams, bit_error_rates
@@ -275,7 +276,7 @@ def test_criterion_7_cadence_range_invariance_argmin(calibration_run, argmin_run
     for eps_g in (5e-5, 7.5e-5, 1e-4, 1.5e-4, 2e-4, 2.5e-4, 3e-4):
         for k in range(11):
             eps_a = k * 0.05
-            best = m_min(result.rates_at(eps_g, eps_a))
+            best = m_min(rates_at(result.coefficients, eps_g, eps_a))
             assert best <= 6, (eps_g, eps_a, best)
 
     # The lower edge of the range is the exact 128-state reference: m_min
@@ -290,25 +291,25 @@ def test_criterion_7_cadence_range_invariance_argmin(calibration_run, argmin_run
                 m: logical_error_exact(noise, eps_a, EXACT_N_GATES, m)
                 for m in range(1, 9)
             }
-            best = m_min(result.rates_at(eps_g, eps_a))
+            best = m_min(rates_at(result.coefficients, eps_g, eps_a))
             assert exact[best] <= 1.01 * min(exact.values()), (
                 eps_g, eps_a, best, exact,
             )
 
     for eps_a in (0.0, 0.25, 0.5):
         values = {
-            m_min(result.rates_at(eps_g, eps_a))
+            m_min(rates_at(result.coefficients, eps_g, eps_a))
             for eps_g in np.geomspace(5e-5, 3e-4, 9)
         }
         assert len(values) == 1, (eps_a, values)
-    base = result.rates_at(1e-4, 0.3)
+    base = rates_at(result.coefficients, 1e-4, 0.3)
     assert {m_min(base.scaled(s)) for s in (0.5, 1.0, 2.0, 3.0)} == {m_min(base)}
 
     for eps_a in SWEEP_EPS_A:
         per_m = argmin_runs[eps_a]
         mc_best = min(ARGMIN_M_GRID, key=lambda m: (per_m[m].p_hat, m))
         formula_best, _ = grid_argmin(
-            result.rates_at(ARGMIN_EPS_G, eps_a), N_GATES, ARGMIN_M_GRID
+            rates_at(result.coefficients, ARGMIN_EPS_G, eps_a), N_GATES, ARGMIN_M_GRID
         )
         if formula_best != mc_best:
             a, b = per_m[mc_best], per_m[formula_best]

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from qec_cadence import cli, faultsim
+from qec_cadence.calibration import calibrate
 from qec_cadence.cli import (
     BUILTIN_COEFFS,
     CSV_HEADER,
@@ -330,6 +331,10 @@ MALFORMED = [
     ("sweep", TINY_SWEEP, "noise", {"wait_scale": True}),
     ("sweep", TINY_SWEEP, "noise", {"include_wait_error": None}),
     ("calibrate", TINY_CALIBRATION, "calibration", {"eps_g_grid": ["1e-4"]}),
+    ("sweep", TINY_SWEEP, "sweep", {"eps_g": 1e-4}),
+    ("mmin", TINY_MMIN, "mmin", {"m_grid": 5}),
+    ("calibrate", TINY_CALIBRATION, "calibration", {"eps_g_grid": 1e-4}),
+    ("mmin", TINY_MMIN, "mmin", {"eps_a": []}),
 ]
 
 
@@ -350,6 +355,20 @@ def test_malformed_config_exits_3(tmp_path, capsys, command, base, section,
     assert err.startswith("config error: ")
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("where", ["directory", "missing-parent"])
+@pytest.mark.parametrize("command,payload", [
+    ("sweep", TINY_SWEEP), ("mmin", TINY_MMIN), ("calibrate", TINY_CALIBRATION),
+], ids=["sweep", "mmin", "calibrate"])
+def test_unwritable_out_exits_3(tmp_path, capsys, command, payload, where):
+    out = tmp_path if where == "directory" else tmp_path / "absent" / "out"
+    assert main([command, "--config", write_config(tmp_path, payload),
+                 "--threads", "1", "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(f"config error: cannot write {out}: ")
 
 
 class TestShippedConfigs:
@@ -454,6 +473,25 @@ class TestCalibrateCommand:
                      "n_gates": 10},
         }
         assert main(["mmin", "--config", write_config(tmp_path, payload)]) == 3
+
+    # each record alone is bad: a non-number, a bool that would read as 1.0,
+    # a JSON list, a missing coefficient
+    @pytest.mark.parametrize("corrupt", [
+        lambda r: {**r, "eps_s_per_eps_g": "abc"},
+        lambda r: {**r, "eps_o_per_eps_g": True},
+        lambda r: [r],
+        lambda r: {k: v for k, v in r.items() if k != "eps_d_per_eps_g"},
+    ], ids=["string", "bool", "list", "missing-key"])
+    def test_malformed_record_is_a_config_error(self, tmp_path, capsys, corrupt):
+        record = calibrate(eps_g_grid=(1e-3,), shots=700).to_record()
+        record_path = tmp_path / "cal.json"
+        record_path.write_text(json.dumps(corrupt(record)))
+        payload = dict(TINY_MMIN,
+                       rates={"source": "calibrated", "record": str(record_path)})
+        assert main(["mmin", "--config", write_config(tmp_path, payload)]) == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("config error: ") and str(record_path) in err
 
 
 class TestCheckCommand:

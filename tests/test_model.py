@@ -138,7 +138,7 @@ class TestCountValidation:
             COUNT_CONSUMERS[consumer](counts["n_gates"], counts["m"])
 
     @pytest.mark.parametrize("bad", [2.5, 2.0, "10", True])
-    @pytest.mark.parametrize("field", ["shots", "batch_size"])
+    @pytest.mark.parametrize("field", ["shots"])
     def test_trajectory_counts_rejected(self, field, bad):
         kwargs = dict(n_gates=10, m=2, eps_a=0.0, noise=NoiseParams(eps=1e-3),
                       shots=1, master_seed=0)

@@ -1,10 +1,9 @@
 """The built-in self checks must all pass on a healthy install."""
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
-from qec_cadence import exact, faultsim, selfcheck
+from qec_cadence import exact, selfcheck
 from qec_cadence.faultsim import estimate_pl_mc
 from qec_cadence.selfcheck import CheckResult, run_self_checks
 
@@ -35,24 +34,12 @@ def _simulates(transform):
     return install
 
 
-def _redraws_skipped_faulty_rounds(monkeypatch):
-    # forgets which faulty rounds were skipped, so a dirty shot draws the
-    # skip of that round a second time, as if the round were fault-free
-    skip_faulty_rounds = faultsim._skip_faulty_rounds
-
-    def faulty(rng, faults, eps_a):
-        performed, _ = skip_faulty_rounds(rng, faults, eps_a)
-        return performed, np.empty(0, dtype=np.int64)
-    monkeypatch.setattr(faultsim, "_skip_faulty_rounds", faulty)
-
-
 # sampler faults the sampler-vs-exact check must catch
 SAMPLER_FAULTS = {
     "ignores skips": _simulates(lambda cfg: replace(cfg, eps_a=0.0)),
     # a block of one gate has no m - 1 variant to run
     "m - 1 gates per block": _simulates(lambda cfg: replace(
         cfg, m=cfg.m - 1, n_gates=cfg.blocks * (cfg.m - 1)) if cfg.m > 1 else cfg),
-    "re-draws a skipped faulty round": _redraws_skipped_faulty_rounds,
 }
 
 
