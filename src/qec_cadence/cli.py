@@ -226,6 +226,15 @@ def _noise_for(config: Config, eps_g: float) -> NoiseParams:
         raise ConfigError(f"invalid noise options: {exc}") from exc
 
 
+def _check_writable(path: str) -> None:
+    """Refuse an output path that cannot be a file, before any work is done."""
+    if os.path.isdir(path):
+        raise ConfigError(f"cannot write {path}: it is a directory")
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise ConfigError(f"cannot write {path}: no directory {parent}")
+
+
 def _write_text(path: str, text: str) -> None:
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -258,6 +267,8 @@ def cmd_sweep(config: Config, seed: int, threads: int, out: str | None) -> int:
                                    approx.evaluate(sched.m)))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    path = out or config.out or "sweep.csv"
+    _check_writable(path)
     estimates = estimate_many([cfg for _, cfg, _, _ in points], threads=threads)
     lines = [CSV_HEADER]
     for (eps_g, cfg, p_formula, p_approx), est in zip(points, estimates):
@@ -272,7 +283,6 @@ def cmd_sweep(config: Config, seed: int, threads: int, out: str | None) -> int:
             )
         )
     text = "\n".join(lines) + "\n"
-    path = out or config.out or "sweep.csv"
     _write_text(path, text)
     print(f"wrote {len(lines) - 1} rows to {path}")
     return 0
@@ -304,6 +314,8 @@ def cmd_mmin(config: Config, seed: int, threads: int, out: str | None) -> int:
 
 def cmd_calibrate(config: Config, seed: int, threads: int, out: str | None) -> int:
     section = config.calibration
+    path = out or config.out or "calibration.json"
+    _check_writable(path)
     try:
         result = calibrate(
             eps_g_grid=section["eps_g_grid"],
@@ -318,7 +330,6 @@ def cmd_calibrate(config: Config, seed: int, threads: int, out: str | None) -> i
     record["seed"] = seed
     record["noise"] = dict(config.noise)
     text = json.dumps(record, indent=2, sort_keys=True) + "\n"
-    path = out or config.out or "calibration.json"
     _write_text(path, text)
     print(
         f"slope_sd = {result.slope_sd:.4f}  slope_co = {result.slope_co:.4f}  "

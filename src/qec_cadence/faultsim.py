@@ -14,18 +14,30 @@ Sparse sampling.  At the rates of interest almost every shot-block sees no
 fault, so the batch kernel draws fault locations only, as geometric gaps
 over a flattened stream of locations (Gidney 2021, arXiv:2103.02202).  A
 batch walks its blocks in chunks sized from the config so that a chunk
-holds about CHUNK_EVENTS expected faults (at least one block).  Per chunk
-the draw order is:
+holds about CHUNK_EVENTS expected faults (at least one block).  Inside a
+chunk the rounds are numbered shot-major: round r is shot r // blocks,
+block r % blocks, so every stream below comes out sorted by shot and
+block.  Per chunk the draw order is:
 
-  1. gate flips over (block, shot, qubit) at parity_flip_prob(eps_g, m);
-  2. the round faults of sample_round_faults over (block, shot):
-     non-trivial accepted ancillas and their patterns, CNOT X-classes,
-     readout flips;
-  3. two uniforms per event, a (shot, block) with a gate flip or a round
-     fault: rng.random((2, k)) for the k events of each rank, ranks in
-     order and shots in order within a rank, where an event's rank is
-     its place among its shot's events in the chunk.  Row 0 is for the
-     gap before the event, row 1 for the skip of its own round.
+  1. gate flips over (round, qubit) at parity_flip_prob(eps_g, m): the
+     flips of the m gates before the round;
+  2. ancillas with a non-zero syndrome over rounds, then their syndromes;
+  3. CNOT X-classes over (round, qubit), then their classes;
+  4. readout flips over (round, qubit);
+  5. two uniforms per event, a round with any of these faults, in one
+     rng.random((2, k)) call for the chunk's k events in shot-major order.
+     Row 0 is for the gap before the event, row 1 for the skip of its
+     own round.
+
+One stable sort merges the four presorted streams and one XOR reduction
+merges each round's faults, packed in one word (DATA_SHIFT,
+MEASURED_SHIFT).  A round reads its measured ancilla only through the
+syndrome, which is linear, so the ancilla is drawn on its syndrome: each
+round, at the accepted law's mass of syndromes s != 0, gets the weight-1
+stand-in DECODE[s].  Every round output keeps the law of the full
+accepted pattern, and an accepted ancilla of syndrome 0, which never
+changes a round, is never drawn.  sample_round_faults, which the
+calibration micro-sims use, is the same draw without gate flips.
 
 Skip rule.  Every round is skipped with probability eps_a, independently
 of its faults, and draws its skip once.  A skipped round leaves the data
@@ -34,9 +46,11 @@ A fault-free round changes the data only if the syndrome is non-zero
 ("dirty"), so a dirty shot stays uncorrected through a gap of j
 fault-free rounds with probability eps_a**j.  Each event resolves the gap
 since its shot's last event (carried across chunks), then its gate flips,
-then its own round.  After a shot's last event nothing is drawn: a
-correction never changes the logical verdict.  Work scales with faults,
-not with shots x blocks.
+then its own round.  The walk orders a chunk's shots by event count once,
+so the shots with a k-th event are a prefix, and takes every shot's k-th
+event at once for k = 1, 2, ...  After a shot's last event nothing is
+drawn: a correction never changes the logical verdict.  Work scales with
+faults, not with shots x blocks.
 
 Determinism contract: every batch of BATCH_SHOTS shots seeds its generator
 from SeedSequence([master_seed, batch_index]), its chunk layout depends on
@@ -131,8 +145,9 @@ class RoundFaults(NamedTuple):
 
     `index` holds the sorted round indices.  `on_data` is the X pattern the
     round's CNOTs leave on the data; `on_measured` flips the measured
-    ancilla against an ideal copy of the data: the accepted ancilla
-    pattern, the CNOTs' copy-side faults and the readout flips.
+    ancilla against an ideal copy of the data: the ancilla's stand-in
+    DECODE[s] for its syndrome s, the CNOTs' copy-side faults and the
+    readout flips.
     """
 
     index: np.ndarray
@@ -145,33 +160,120 @@ def round_output(data, on_data, on_measured):
     return data ^ on_data ^ DECODE[SYNDROME[data ^ on_measured]]
 
 
+# Output of a fault-free round for each input pattern.
+_CORRECTED = round_output(np.arange(128, dtype=np.uint8), 0, 0)
+
+# A round's faults packed in one uint32 word: the gate flips before it in
+# bits 0-6, on_data in bits 8-14, on_measured in bits 16-22.  XOR acts on
+# each field alone, so merging packed words is exact.
+DATA_SHIFT = 8
+MEASURED_SHIFT = 16
+# Packed word of a CNOT X-class on qubit 0: data only, copy only, both.
+_CNOT_CLASS_WORD = np.array(
+    [1 << DATA_SHIFT, 1 << MEASURED_SHIFT, 1 << DATA_SHIFT | 1 << MEASURED_SHIFT],
+    dtype=np.uint32,
+)
+
+
 def _event_positions(rng: np.random.Generator, length: int, p: float) -> np.ndarray:
     """Sorted positions of independent Bernoulli(p) events in [0, length).
 
     Drawn as geometric gaps, so the cost scales with the events, not with
     `length`; how many gaps are drawn depends on (length, p) and the draws.
+    A gap is 1 + floor(E / -log(1 - p)) for a standard exponential E: that
+    is Geometric(p) exactly, and cheaper to draw than rng.geometric.  Gaps
+    are capped at `length`, which ends the run all the same, so no sum of
+    them overflows however small p is.
     """
     if p <= 0.0 or length <= 0:
         return np.empty(0, dtype=np.int64)
     mean = length * p
     size = int(mean + 4.0 * math.sqrt(mean)) + 16
-    pos = np.cumsum(rng.geometric(p, size)) - 1
+    scale = -1.0 / math.log1p(-p) if p < 1.0 else 0.0
+
+    def gaps():
+        e = np.minimum(rng.standard_exponential(size) * scale, length)
+        return e.astype(np.int64) + 1
+
+    pos = np.cumsum(gaps()) - 1
     while pos[-1] < length:
-        pos = np.concatenate((pos, pos[-1] + np.cumsum(rng.geometric(p, size))))
+        pos = np.concatenate((pos, pos[-1] + np.cumsum(gaps())))
     return pos[: np.searchsorted(pos, length)]
 
 
-def _qubit_bits(positions: np.ndarray) -> np.ndarray:
-    """Pattern bit of each (round, qubit) position, qubit q on bit q."""
-    return np.left_shift(1, positions % 7).astype(np.uint8)
+def _qubit_words(positions: np.ndarray, shift: int) -> np.ndarray:
+    """Packed word of each (round, qubit) position: qubit q on bit shift + q."""
+    return np.left_shift(np.uint32(1), (positions % 7 + shift).astype(np.uint32))
 
 
-def _merge_rounds(index: np.ndarray, *masks: np.ndarray) -> tuple:
-    """Merge the entries of each key of a sorted index, XOR-ing masks."""
-    if index.size == 0:
-        return (index, *masks)
-    starts = np.flatnonzero(np.diff(index, prepend=-1))
-    return (index[starts], *(np.bitwise_xor.reduceat(m, starts) for m in masks))
+def _syndrome_law(anc_probs: np.ndarray) -> np.ndarray:
+    """Law of the syndrome s in [0, 8) of an ancilla drawn from anc_probs."""
+    return np.bincount(SYNDROME, weights=anc_probs, minlength=8)
+
+
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """Index of the first entry of each run of equal keys in a sorted array."""
+    return np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+
+
+def _fault_streams(rng: np.random.Generator, rounds: int, p_gate: float,
+                   noise: NoiseParams, syn_probs: np.ndarray) -> tuple:
+    """Every fault of `rounds` rounds as (key, word), unmerged.
+
+    `key` holds each fault's round and `word` its packed pattern
+    (DATA_SHIFT, MEASURED_SHIFT); the four streams are concatenated in
+    draw order, each sorted by round.  Draw order: gate flips over
+    (round, qubit) at p_gate; ancillas with a non-zero syndrome over
+    rounds at the mass of syn_probs[1:], then their syndromes s from
+    syn_probs[1:]; CNOT X-classes over (round, qubit) at 3 * cnot_flip,
+    then their classes, uniform over data only, ancilla copy only and
+    both; readout flips over (round, qubit) at meas_flip.
+
+    A round reads its measured side only through the syndrome, which is
+    linear, so an ancilla enters as the weight-1 DECODE[s]: every round
+    output has the law of the full accepted pattern, and an ancilla of
+    syndrome 0 is never drawn.
+    """
+    gates = _event_positions(rng, 7 * rounds, p_gate)
+    nonzero = np.cumsum(syn_probs[1:])
+    anc = _event_positions(rng, rounds, float(nonzero[-1]))
+    # s is 1 + the number of cumulative masses of syndromes 1..6 at or
+    # below the draw: compares are cheaper than a search at 7 values
+    pick = rng.random(anc.size) * nonzero[-1]
+    anc_syndrome = np.ones(anc.size, dtype=np.uint8)
+    for edge in nonzero[:-1]:
+        anc_syndrome += pick >= edge
+    cx = _event_positions(rng, 7 * rounds, 3.0 * noise.cnot_flip)
+    cx_class = rng.integers(0, 3, cx.size)
+    cx_word = _CNOT_CLASS_WORD[cx_class] << (cx % 7).astype(np.uint32)
+    meas = _event_positions(rng, 7 * rounds, noise.meas_flip)
+    key = np.concatenate((gates // 7, anc, cx // 7, meas // 7))
+    word = np.concatenate((
+        _qubit_words(gates, 0),
+        DECODE[anc_syndrome].astype(np.uint32) << MEASURED_SHIFT,
+        cx_word,
+        _qubit_words(meas, MEASURED_SHIFT),
+    ))
+    return key, word
+
+
+def _merge_rounds(key: np.ndarray, word: np.ndarray) -> tuple:
+    """One entry per round: the strictly increasing keys, XOR of their words.
+
+    The streams come in as presorted runs, which a stable sort merges in
+    one pass; a round's packed words merge in one XOR reduction.
+    """
+    if not key.size:
+        return key, word
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    starts = _run_starts(key)
+    return key[starts], np.bitwise_xor.reduceat(word[order], starts)
+
+
+def _field(word: np.ndarray, shift: int) -> np.ndarray:
+    """The 7-bit field of packed words at `shift` (bits 7 and 15 stay 0)."""
+    return (word >> shift).astype(np.uint8)
 
 
 def sample_round_faults(
@@ -179,37 +281,13 @@ def sample_round_faults(
 ) -> RoundFaults:
     """Faults of `rounds` performed rounds, drawn sparsely.
 
-    Draw order: non-trivial accepted ancillas over rounds at
-    1 - anc_probs[0], then their patterns from anc_probs[1:]; CNOT
-    X-classes over (round, qubit) at 3 * cnot_flip, then their classes,
-    uniform over data only, ancilla copy only and both; readout flips over
-    (round, qubit) at meas_flip.  anc_probs is the accepted-ancilla
-    distribution, accepted_distribution(...).probs.
+    The batch kernel's draw without gate flips (_fault_streams);
+    anc_probs is the accepted-ancilla distribution,
+    accepted_distribution(...).probs.
     """
-    nontrivial = np.cumsum(anc_probs[1:])
-    anc = _event_positions(rng, rounds, 1.0 - anc_probs[0])
-    anc_pattern = 1 + np.minimum(
-        np.searchsorted(nontrivial, rng.random(anc.size) * nontrivial[-1],
-                        side="right"),
-        126,
-    ).astype(np.uint8)
-    cx = _event_positions(rng, 7 * rounds, 3.0 * noise.cnot_flip)
-    cx_class = rng.integers(0, 3, cx.size)
-    cx_bit = _qubit_bits(cx)
-    meas = _event_positions(rng, 7 * rounds, noise.meas_flip)
-    index = np.concatenate((anc, cx // 7, meas // 7))
-    order = np.argsort(index, kind="stable")
-    on_data = np.concatenate((
-        np.zeros(anc.size, dtype=np.uint8),
-        np.where(cx_class != 1, cx_bit, np.uint8(0)),
-        np.zeros(meas.size, dtype=np.uint8),
-    ))
-    on_measured = np.concatenate((
-        anc_pattern,
-        np.where(cx_class != 0, cx_bit, np.uint8(0)),
-        _qubit_bits(meas),
-    ))
-    return RoundFaults(*_merge_rounds(index[order], on_data[order], on_measured[order]))
+    index, word = _merge_rounds(
+        *_fault_streams(rng, rounds, 0.0, noise, _syndrome_law(anc_probs)))
+    return RoundFaults(index, _field(word, DATA_SHIFT), _field(word, MEASURED_SHIFT))
 
 
 def _batch_extent(cfg: TrajectoryConfig, batch_index: int) -> int:
@@ -220,7 +298,7 @@ def _chunk_blocks(cfg: TrajectoryConfig, shots: int, p_gate: float,
                   anc_probs: np.ndarray) -> int:
     """Blocks per chunk: about CHUNK_EVENTS expected faults, at least one."""
     noise = cfg.noise
-    per_shot_block = (7.0 * p_gate + (1.0 - anc_probs[0])
+    per_shot_block = (7.0 * p_gate + _syndrome_law(anc_probs)[1:].sum()
                       + 7.0 * (3.0 * noise.cnot_flip + noise.meas_flip))
     fit = CHUNK_EVENTS / max(shots * per_shot_block, 1.0)
     return int(min(cfg.blocks, max(1.0, fit)))
@@ -235,41 +313,43 @@ def _simulate_batch(
         np.random.SeedSequence([cfg.master_seed, batch_index])
     )
     p_gate = parity_flip_prob(cfg.noise.eps_g, cfg.m)
+    syn_probs = _syndrome_law(anc_probs)
     chunk = _chunk_blocks(cfg, n, p_gate, anc_probs)
+    # a dirty shot stays uncorrected through j fault-free rounds w.p. eps_a**j
+    stay = cfg.eps_a ** np.arange(cfg.blocks + 1)
     data = np.zeros(n, dtype=np.uint8)
     settled = np.full(n, -1, dtype=np.int64)  # block of each shot's last event
     for first in range(0, cfg.blocks, chunk):
         blocks = min(chunk, cfg.blocks - first)
-        gates = _event_positions(rng, 7 * blocks * n, p_gate)
-        faults = sample_round_faults(rng, blocks * n, cfg.noise, anc_probs)
-        # one event per (shot, block) with any fault, sorted shot-major
-        key = np.concatenate((gates // 7, faults.index))
-        g = gates.size
-        flip, on_data, on_measured = np.zeros((3, key.size), dtype=np.uint8)
-        flip[:g] = _qubit_bits(gates)
-        on_data[g:], on_measured[g:] = faults.on_data, faults.on_measured
-        key = key % n * blocks + key // n
-        order = np.argsort(key)  # the XOR merge does not depend on order
-        key, flip, on_data, on_measured = _merge_rounds(
-            key[order], flip[order], on_data[order], on_measured[order])
+        # round r of the chunk is shot r // blocks, block r % blocks
+        key, word = _merge_rounds(
+            *_fault_streams(rng, blocks * n, p_gate, cfg.noise, syn_probs))
         if not key.size:
             continue
         shot, block = np.divmod(key, blocks)
-        start = np.flatnonzero(np.diff(shot, prepend=-1))  # a shot's first event
+        start = _run_starts(shot)  # a shot's first event
         count = np.diff(start, append=key.size)
         end = start + count - 1
-        # a dirty shot stays uncorrected through the fault-free rounds of a gap
         gap = np.diff(block, prepend=0) - 1
         gap[start] = first + block[start] - settled[shot[start]] - 1
         settled[shot[end]] = first + block[end]
-        stay = cfg.eps_a ** gap
-        for rank in range(count.max()):
-            e = start[count > rank] + rank  # each shot's rank-th event, in shot order
-            s = shot[e]
-            u = rng.random((2, e.size))
+        u = rng.random((2, key.size))
+        fix = u[0] >= stay[gap]
+        perform = u[1] >= cfg.eps_a
+        flip = _field(word, 0)
+        on_data, on_measured = _field(word, DATA_SHIFT), _field(word, MEASURED_SHIFT)
+        # shots by falling event count, so the shots with a rank-th event
+        # lead; ties in any order, since a rank's shots update independently
+        by_count = np.argsort(-count)
+        start, count = start[by_count], count[by_count]
+        owner = shot[start]
+        active = np.searchsorted(-count, -np.arange(count[0]), side="left")
+        for rank, k in enumerate(active):
+            e = start[:k] + rank  # each such shot's rank-th event
+            s = owner[:k]
             d = data[s]
-            d = np.where(u[0] >= stay[e], round_output(d, 0, 0), d) ^ flip[e]
-            data[s] = np.where(u[1] >= cfg.eps_a,
+            d = np.where(fix[e], _CORRECTED[d], d) ^ flip[e]
+            data[s] = np.where(perform[e],
                                round_output(d, on_data[e], on_measured[e]), d)
     return int(np.count_nonzero(RESIDUAL_LOGICAL[data]))
 

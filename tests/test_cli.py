@@ -361,7 +361,14 @@ def test_malformed_config_exits_3(tmp_path, capsys, command, base, section,
 @pytest.mark.parametrize("command,payload", [
     ("sweep", TINY_SWEEP), ("mmin", TINY_MMIN), ("calibrate", TINY_CALIBRATION),
 ], ids=["sweep", "mmin", "calibrate"])
-def test_unwritable_out_exits_3(tmp_path, capsys, command, payload, where):
+def test_unwritable_out_exits_3(tmp_path, capsys, monkeypatch, command, payload,
+                               where):
+    # the path is refused before any sampling starts
+    def no_work(*args, **kwargs):
+        raise AssertionError("sampled before checking the output path")
+
+    monkeypatch.setattr(cli, "estimate_many", no_work)
+    monkeypatch.setattr(cli, "calibrate", no_work)
     out = tmp_path if where == "directory" else tmp_path / "absent" / "out"
     assert main([command, "--config", write_config(tmp_path, payload),
                  "--threads", "1", "--out", str(out)]) == 3
