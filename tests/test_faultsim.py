@@ -55,7 +55,7 @@ def pooled_chi2_z(counts, probs):
     Bins expecting fewer than 5 counts are pooled into one, so that no bin
     leans on a normal approximation it cannot carry: a single count in a
     bin expecting 0.01 is no evidence.  The score is the Wilson-Hilferty
-    transform of the statistic, standard normal under the law.
+    transform of the statistic, close to standard normal under the law.
     """
     expect = counts.sum() * probs
     rare = expect < 5.0
@@ -264,7 +264,7 @@ class TestFaultStreams:
 
 class TestSharedRounds:
     def test_dense_rounds_match_exact(self):
-        # ~2 faults per round (eps 0.1, readout 0.1), so the merge of a
+        # ~2.4 faults per round (eps 0.1, readout 0.1), so the merge of a
         # round's faults decides the output; a merge by OR instead of XOR
         # reads ~+11 sigma here
         cfg = TrajectoryConfig(
