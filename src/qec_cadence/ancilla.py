@@ -6,7 +6,8 @@ checks the stabilizer parity over qubits {1,2,5,6} with one extra
 verification qubit (CNOTs fan in, Z measurement, accept on 0).  The CNOT
 order is arranged so that every dangerous single-fault outcome overlaps that
 check an odd number of times.  Explicit wait ops mark the idle slots of the
-fixed schedule; whether they draw noise is a NoiseParams toggle.
+fixed schedule; they flip at NoiseParams.wait_flip, which wait_scale = 0
+turns off.
 
 Schedule (1-based qubits, V = verification qubit):
 
@@ -212,6 +213,7 @@ class AcceptedDistribution:
 
     probs: np.ndarray  # shape (128,), sums to 1
     p_accept: float
+    syndrome_law: np.ndarray  # shape (8,): law of the syndrome of probs
 
 
 def accepted_distribution(
@@ -247,8 +249,10 @@ def accepted_distribution(
     p_accept = float(kept.sum())
     if p_accept <= 0.0:
         raise RetryLimitError("verification accepts with probability 0")
-    probs = np.bincount(faults.block, weights=kept, minlength=128)
-    return AcceptedDistribution(probs=probs / p_accept, p_accept=p_accept)
+    probs = np.bincount(faults.block, weights=kept, minlength=128) / p_accept
+    return AcceptedDistribution(
+        probs=probs, p_accept=p_accept,
+        syndrome_law=np.bincount(SYNDROME, weights=probs, minlength=8))
 
 
 @dataclass(frozen=True)

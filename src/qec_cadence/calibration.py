@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ancilla import AncillaCircuit, accepted_distribution, default_circuit
+from .ancilla import accepted_distribution, default_circuit
 from .faultsim import (
     derive_seed,
     round_output,
@@ -82,21 +82,21 @@ def measure_position_rates(
     shots: int,
     seed: int = 0,
     noise_options: dict | None = None,
-    circuit: AncillaCircuit | None = None,
-    input_patterns=SINGLE_ERROR_INPUTS,
 ) -> list[PositionRates]:
-    """Run the protocol once per input pattern; shots split evenly."""
-    if as_count("shots", shots) < len(input_patterns):
+    """Run the protocol once per single-error input; shots split evenly.
+
+    The ancillas come from default_circuit().
+    """
+    if as_count("shots", shots) < len(SINGLE_ERROR_INPUTS):
         raise ValueError("need at least one shot per input pattern")
-    circuit = circuit or default_circuit()
     noise = NoiseParams(eps=eps, **(noise_options or {}))
-    anc_probs = accepted_distribution(circuit, noise).probs
-    base, extra = divmod(shots, len(input_patterns))
+    syn_probs = accepted_distribution(default_circuit(), noise).syndrome_law
+    base, extra = divmod(shots, len(SINGLE_ERROR_INPUTS))
     out = []
-    for k, pattern in enumerate(input_patterns):
+    for k, pattern in enumerate(SINGLE_ERROR_INPUTS):
         n = base + (1 if k < extra else 0)
         rng = np.random.default_rng(np.random.SeedSequence([seed, k]))
-        faults = sample_round_faults(rng, n, noise, anc_probs)
+        faults = sample_round_faults(rng, n, noise, syn_probs)
         # every fault-free round gives the same output
         quiet = n - faults.index.size
         clean = round_output(pattern, 0, 0)
@@ -195,7 +195,6 @@ def calibrate(
     seed: int = 0,
     normalization: str = "per_spectator",
     noise_options: dict | None = None,
-    circuit: AncillaCircuit | None = None,
 ) -> CalibrationResult:
     """Measure both rates over the eps_g grid and fit the slopes.
 
@@ -215,7 +214,6 @@ def calibrate(
             shots,
             seed=derive_seed(seed, j),
             noise_options=noise_options,
-            circuit=circuit,
         )
         rate_two, rate_one = _mean_rates(positions)
         n_total = sum(p.shots for p in positions)

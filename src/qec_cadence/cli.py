@@ -150,9 +150,15 @@ class Config:
         out = raw.get("out")
         if out is not None and not isinstance(out, str):
             raise ConfigError("out must be a string path")
+        # every subcommand gets a noise section that NoiseParams accepts
+        noise = _section(raw, "noise", DEFAULT_NOISE_OPTIONS)
+        try:
+            NoiseParams(eps=0.0, **noise)
+        except ValueError as exc:
+            raise ConfigError(f"invalid noise options: {exc}") from exc
         return cls(
             seed=seed,
-            noise=_section(raw, "noise", DEFAULT_NOISE_OPTIONS),
+            noise=noise,
             rates=dict(rates),
             sweep=_section(raw, "sweep", DEFAULT_SWEEP),
             mmin=_section(raw, "mmin", DEFAULT_MMIN),
@@ -219,13 +225,6 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _noise_for(config: Config, eps_g: float) -> NoiseParams:
-    try:
-        return NoiseParams.from_eps_g(eps_g, **config.noise)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid noise options: {exc}") from exc
-
-
 def _check_writable(path: str) -> None:
     """Refuse an output path that cannot be a file, before any work is done."""
     if os.path.isdir(path):
@@ -253,7 +252,7 @@ def cmd_sweep(config: Config, seed: int, threads: int, out: str | None) -> int:
         coeffs = rate_coefficients(config)
         schedules = [Schedule(n_gates=n_gates, m=m) for m in section["m"]]
         for eps_g in section["eps_g"]:
-            noise = _noise_for(config, eps_g)
+            noise = NoiseParams.from_eps_g(eps_g, **config.noise)
             for eps_a in section["eps_a"]:
                 rates = rates_at(coeffs, eps_g, eps_a)
                 approx = approx_coefficients(rates, scale=n_gates)

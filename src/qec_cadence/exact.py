@@ -80,12 +80,11 @@ def _syndrome_response(
     Pauli-frame correction of the data.
     """
     circuit = circuit or default_circuit()
-    anc = accepted_distribution(circuit, noise).probs
+    prepared = accepted_distribution(circuit, noise).syndrome_law
     q, p, k = noise.meas_flip, noise.cnot_flip, np.arange(8)
     # P(readout flips offset the syndrome by s): flips of weight k
     readout = (q**k * (1.0 - q) ** (7 - k)) @ _READOUT
     # P(ancilla and readout noise together offset the syndrome by s)
-    prepared = np.bincount(SYNDROME, weights=anc, minlength=8)
     shift = prepared @ readout[_SYN[:, None] ^ _SYN]
     # one CNOT flips (data, ancilla copy) by (1, 0), (0, 1) or (1, 1) with
     # probability p each, so the 7 CNOTs give the flips (df, af) with
@@ -128,7 +127,7 @@ def logical_error_exact(
     """Exact end-to-end logical X error probability of a full run.
 
     n_gates gates in blocks of m, a skippable round after each block, then
-    an ideal final decode.  Matches what estimate_pl_mc samples.  Equals
+    an ideal final decode.  Matches what estimate_many samples.  Equals
     n_gates // m steps of block_output_distribution from the clean state,
     computed as one power of the 16-class block kernel.
     """

@@ -67,7 +67,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ancilla import AncillaCircuit, accepted_distribution, default_circuit
+from .ancilla import accepted_distribution, default_circuit
 from .model import Schedule, as_count, as_rate
 from .noise import NoiseParams, parity_flip_prob
 from .steane import DECODE, RESIDUAL_LOGICAL, SYNDROME
@@ -206,11 +206,6 @@ def _qubit_words(positions: np.ndarray, shift: int) -> np.ndarray:
     return np.left_shift(np.uint32(1), (positions % 7 + shift).astype(np.uint32))
 
 
-def _syndrome_law(anc_probs: np.ndarray) -> np.ndarray:
-    """Law of the syndrome s in [0, 8) of an ancilla drawn from anc_probs."""
-    return np.bincount(SYNDROME, weights=anc_probs, minlength=8)
-
-
 def _run_starts(keys: np.ndarray) -> np.ndarray:
     """Index of the first entry of each run of equal keys in a sorted array."""
     return np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
@@ -277,16 +272,16 @@ def _field(word: np.ndarray, shift: int) -> np.ndarray:
 
 
 def sample_round_faults(
-    rng: np.random.Generator, rounds: int, noise: NoiseParams, anc_probs: np.ndarray
+    rng: np.random.Generator, rounds: int, noise: NoiseParams, syn_probs: np.ndarray
 ) -> RoundFaults:
     """Faults of `rounds` performed rounds, drawn sparsely.
 
     The batch kernel's draw without gate flips (_fault_streams);
-    anc_probs is the accepted-ancilla distribution,
-    accepted_distribution(...).probs.
+    syn_probs is the accepted ancilla's syndrome law,
+    accepted_distribution(...).syndrome_law.
     """
     index, word = _merge_rounds(
-        *_fault_streams(rng, rounds, 0.0, noise, _syndrome_law(anc_probs)))
+        *_fault_streams(rng, rounds, 0.0, noise, syn_probs))
     return RoundFaults(index, _field(word, DATA_SHIFT), _field(word, MEASURED_SHIFT))
 
 
@@ -295,26 +290,28 @@ def _batch_extent(cfg: TrajectoryConfig, batch_index: int) -> int:
 
 
 def _chunk_blocks(cfg: TrajectoryConfig, shots: int, p_gate: float,
-                  anc_probs: np.ndarray) -> int:
+                  syn_probs: np.ndarray) -> int:
     """Blocks per chunk: about CHUNK_EVENTS expected faults, at least one."""
     noise = cfg.noise
-    per_shot_block = (7.0 * p_gate + _syndrome_law(anc_probs)[1:].sum()
+    per_shot_block = (7.0 * p_gate + syn_probs[1:].sum()
                       + 7.0 * (3.0 * noise.cnot_flip + noise.meas_flip))
     fit = CHUNK_EVENTS / max(shots * per_shot_block, 1.0)
     return int(min(cfg.blocks, max(1.0, fit)))
 
 
 def _simulate_batch(
-    cfg: TrajectoryConfig, batch_index: int, anc_probs: np.ndarray
+    cfg: TrajectoryConfig, batch_index: int, syn_probs: np.ndarray
 ) -> int:
-    """Failure count of one batch.  Pure function of its arguments."""
+    """Failure count of one batch.  Pure function of its arguments.
+
+    syn_probs is the accepted ancilla's syndrome law.
+    """
     n = _batch_extent(cfg, batch_index)
     rng = np.random.default_rng(
         np.random.SeedSequence([cfg.master_seed, batch_index])
     )
     p_gate = parity_flip_prob(cfg.noise.eps_g, cfg.m)
-    syn_probs = _syndrome_law(anc_probs)
-    chunk = _chunk_blocks(cfg, n, p_gate, anc_probs)
+    chunk = _chunk_blocks(cfg, n, p_gate, syn_probs)
     # a dirty shot stays uncorrected through j fault-free rounds w.p. eps_a**j
     stay = cfg.eps_a ** np.arange(cfg.blocks + 1)
     data = np.zeros(n, dtype=np.uint8)
@@ -374,21 +371,17 @@ def _check_retry_feasibility(cfg: TrajectoryConfig, p_accept: float) -> None:
         )
 
 
-def estimate_many(
-    cfgs,
-    threads: int = 1,
-    circuit: AncillaCircuit | None = None,
-) -> list[PlEstimate]:
+def estimate_many(cfgs, threads: int = 1) -> list[PlEstimate]:
     """Logical error estimates of several configs, one per config.
 
     Every config is checked before any sampling starts.  With threads > 1
     and more than one batch in total, the batches of all configs run on
     one process pool; the result is bit-identical at any `threads` value,
-    since each batch's seed depends on its config and index alone.
+    since each batch's seed depends on its config and index alone.  The
+    ancillas come from default_circuit().
     """
     cfgs = list(cfgs)
-    circuit = circuit or default_circuit()
-    accepted = {noise: accepted_distribution(circuit, noise)
+    accepted = {noise: accepted_distribution(default_circuit(), noise)
                 for noise in {cfg.noise for cfg in cfgs}}
     for cfg in cfgs:
         _check_retry_feasibility(cfg, accepted[cfg.noise].p_accept)
@@ -397,7 +390,7 @@ def estimate_many(
     args = (
         [cfgs[i] for i, _ in tasks],
         [b for _, b in tasks],
-        [accepted[cfgs[i].noise].probs for i, _ in tasks],
+        [accepted[cfgs[i].noise].syndrome_law for i, _ in tasks],
     )
     if threads <= 1 or len(tasks) <= 1:
         counts = list(map(_simulate_batch, *args))
@@ -410,16 +403,3 @@ def estimate_many(
     for (i, _), count in zip(tasks, counts):
         failures[i] += count
     return [PlEstimate.from_counts(f, cfg.shots) for f, cfg in zip(failures, cfgs)]
-
-
-def estimate_pl_mc(
-    cfg: TrajectoryConfig,
-    threads: int = 1,
-    circuit: AncillaCircuit | None = None,
-) -> PlEstimate:
-    """Logical error estimate over cfg.shots trajectories.
-
-    Bit-identical for a fixed cfg at any `threads` value; workers only ever
-    compute disjoint batches whose seeds depend on the batch index alone.
-    """
-    return estimate_many([cfg], threads=threads, circuit=circuit)[0]

@@ -197,16 +197,15 @@ def table_contributions(rates: AbstractRates, schedule: Schedule) -> list[tuple[
     return rows
 
 
-def pl_second_order(rates: AbstractRates, schedule: Schedule, clamp: bool = True) -> float:
+def pl_second_order(rates: AbstractRates, schedule: Schedule) -> float:
     """Second-order logical X failure probability of the whole sequence.
 
     Sum of table_contributions (one arithmetic path, so the itemized rows add
     up to this value exactly).  Being a truncated series the raw sum can
-    exceed 1 for large inputs; it is clamped to [0, 1] with a warning unless
-    clamp=False.
+    exceed 1 for large inputs; it is clamped to [0, 1] with a warning.
     """
     total = math.fsum(value for _, value in table_contributions(rates, schedule))
-    if clamp and not 0.0 <= total <= 1.0:
+    if not 0.0 <= total <= 1.0:
         warnings.warn(
             f"second-order sum {total:.3g} outside [0, 1]; clamped "
             "(rates too large for the truncation)",

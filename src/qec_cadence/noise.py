@@ -18,10 +18,8 @@ class NoiseParams:
     """Physical noise configuration for the fault simulator."""
 
     eps: float
-    include_meas_error: bool = True
     p_meas: float | None = None  # defaults to 2*eps/3 when None
     include_init_error: bool = True
-    include_wait_error: bool = True
     # Idle slots inside the ancilla preparation schedule flip at this
     # fraction of the one-qubit gate rate (one schedule step = one gate
     # time; a third is a typical idle error budget).  The logical-layer
@@ -35,9 +33,9 @@ class NoiseParams:
             raise ValueError(f"p_meas must be in [0, 0.5], got {self.p_meas}")
         if not 0.0 <= as_rate("wait_scale", self.wait_scale) <= 1.0:
             raise ValueError(f"wait_scale must be in [0, 1], got {self.wait_scale}")
-        for name in ("include_meas_error", "include_init_error", "include_wait_error"):
-            if not isinstance(getattr(self, name), bool):
-                raise ValueError(f"{name} must be a bool, got {getattr(self, name)!r}")
+        if not isinstance(self.include_init_error, bool):
+            raise ValueError(
+                f"include_init_error must be a bool, got {self.include_init_error!r}")
 
     @property
     def eps_g(self) -> float:
@@ -47,8 +45,6 @@ class NoiseParams:
     @property
     def meas_flip(self) -> float:
         """Measurement bit-flip probability actually applied."""
-        if not self.include_meas_error:
-            return 0.0
         return self.eps_g if self.p_meas is None else self.p_meas
 
     @property
@@ -57,7 +53,7 @@ class NoiseParams:
 
     @property
     def wait_flip(self) -> float:
-        return self.wait_scale * self.eps_g if self.include_wait_error else 0.0
+        return self.wait_scale * self.eps_g
 
     @property
     def cnot_flip(self) -> float:

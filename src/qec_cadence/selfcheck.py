@@ -22,7 +22,7 @@ from .exact import (
     logical_error_exact,
     syndrome_extraction_transfer,
 )
-from .faultsim import TrajectoryConfig, estimate_pl_mc
+from .faultsim import TrajectoryConfig, estimate_many
 from .noise import NoiseParams, parity_flip_prob
 
 
@@ -153,15 +153,18 @@ SAMPLER_TAIL = math.erfc(4.0 / math.sqrt(2.0))
 def _check_sampler_vs_exact() -> CheckResult:
     # chi-square of the four z-scores; with 4 degrees of freedom its tail
     # probability is exp(-x/2) * (1 + x/2)
-    zs = []
-    for k, (eps_g, n_gates, m, eps_a, shots) in enumerate(SAMPLER_CONFIGS):
-        cfg = TrajectoryConfig(
+    cfgs = [
+        TrajectoryConfig(
             n_gates=n_gates, m=m, eps_a=eps_a, noise=NoiseParams.from_eps_g(eps_g),
             shots=shots, master_seed=20_240_601 + k,
         )
-        p_mc = estimate_pl_mc(cfg).p_hat
+        for k, (eps_g, n_gates, m, eps_a, shots) in enumerate(SAMPLER_CONFIGS)
+    ]
+    zs = []
+    for cfg, est in zip(cfgs, estimate_many(cfgs)):
         p_exact = logical_error_exact(cfg.noise, cfg.eps_a, cfg.n_gates, cfg.m)
-        zs.append((p_mc - p_exact) / math.sqrt(p_exact * (1.0 - p_exact) / shots))
+        zs.append((est.p_hat - p_exact)
+                  / math.sqrt(p_exact * (1.0 - p_exact) / cfg.shots))
     chi2 = sum(z * z for z in zs)
     tail = math.exp(-chi2 / 2.0) * (1.0 + chi2 / 2.0)
     return CheckResult(

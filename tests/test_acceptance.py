@@ -31,7 +31,7 @@ import pytest
 from qec_cadence import cli, steane
 from qec_cadence.calibration import calibrate
 from qec_cadence.exact import logical_error_exact
-from qec_cadence.faultsim import TrajectoryConfig, estimate_pl_mc
+from qec_cadence.faultsim import TrajectoryConfig, estimate_many
 from qec_cadence.model import (
     AbstractRates,
     Schedule,
@@ -83,7 +83,7 @@ def _mc_point(eps_g, eps_a, m, shots, seed):
         shots=shots,
         master_seed=seed,
     )
-    return estimate_pl_mc(cfg)
+    return estimate_many([cfg])[0]
 
 
 @pytest.fixture(scope="module")
@@ -370,5 +370,5 @@ def test_criterion_9_determinism_and_throughput(tmp_path):
         master_seed=97,
     )
     t0 = time.perf_counter()
-    estimate_pl_mc(cfg)
+    estimate_many([cfg])
     assert time.perf_counter() - t0 < 600.0

@@ -101,8 +101,8 @@ CIRCUITS = {
     ),
 }
 NOISE_OPTIONS = [
-    {}, {"p_meas": 0.5}, {"include_meas_error": False},
-    {"include_init_error": False}, {"include_wait_error": False},
+    {}, {"p_meas": 0.5}, {"p_meas": 0.0},
+    {"include_init_error": False}, {"wait_scale": 0.0},
 ]
 
 

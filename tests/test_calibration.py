@@ -178,8 +178,7 @@ class TestClampPath:
         # physical configurations cannot push the fitted slopes below the
         # analytic 0.4 coupling share, so synthesize rates that do and
         # check the defensive path: clamp to zero, warn, record the note
-        def fake_positions(eps, shots, seed=0, noise_options=None,
-                           circuit=None, input_patterns=None):
+        def fake_positions(eps, shots, seed=0, noise_options=None):
             return [
                 PositionRates(pattern=1 << q, shots=1000, two_count=0,
                               one_count=0)

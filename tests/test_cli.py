@@ -67,7 +67,7 @@ class TestConfig:
     def test_round_trip_is_lossless(self):
         for raw in ({}, TINY_SWEEP,
                     {"rates": {"source": "explicit", **BUILTIN_COEFFS}},
-                    {"noise": {"include_wait_error": False}}):
+                    {"noise": {"wait_scale": 0.0}}):
             cfg = Config.from_dict(raw)
             again = Config.from_dict(cfg.to_dict())
             assert again == cfg
@@ -80,10 +80,7 @@ class TestConfig:
         }
         assert set(d["sweep"]) == {"eps_g", "eps_a", "m", "n_gates", "shots"}
         assert set(d["mmin"]) == {"eps_g", "eps_a", "m_grid", "n_gates"}
-        assert set(d["noise"]) == {
-            "include_meas_error", "p_meas", "include_init_error",
-            "include_wait_error", "wait_scale",
-        }
+        assert set(d["noise"]) == {"p_meas", "include_init_error", "wait_scale"}
 
     def test_unknown_keys_rejected_everywhere(self):
         with pytest.raises(ConfigError):
@@ -327,9 +324,15 @@ MALFORMED = [
     ("sweep", TINY_SWEEP, "sweep", {"eps_a": [None]}),
     ("mmin", EXPLICIT_MMIN, "rates", {"eps_s_per_eps_g": None}),
     ("sweep", TINY_SWEEP, None, {"seed": True}),
-    ("sweep", TINY_SWEEP, "noise", {"include_meas_error": "false"}),
+    ("sweep", TINY_SWEEP, "noise", {"p_meas": "0.1"}),
     ("sweep", TINY_SWEEP, "noise", {"wait_scale": True}),
-    ("sweep", TINY_SWEEP, "noise", {"include_wait_error": None}),
+    ("sweep", TINY_SWEEP, "noise", {"include_init_error": None}),
+    # removed toggles: p_meas 0 and wait_scale 0 turn those channels off
+    ("sweep", TINY_SWEEP, "noise", {"include_meas_error": False}),
+    ("sweep", TINY_SWEEP, "noise", {"include_wait_error": False}),
+    ("mmin", TINY_MMIN, "noise", {"p_meas": "abc"}),
+    ("mmin", TINY_MMIN, "noise", {"wait_scale": 2.0}),
+    ("check", {}, "noise", {"p_meas": 0.9}),
     ("calibrate", TINY_CALIBRATION, "calibration", {"eps_g_grid": ["1e-4"]}),
     ("sweep", TINY_SWEEP, "sweep", {"eps_g": 1e-4}),
     ("mmin", TINY_MMIN, "mmin", {"m_grid": 5}),

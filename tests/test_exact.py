@@ -160,8 +160,8 @@ def convolved_response(noise, circuit):
 class TestTransferStructure:
     @pytest.mark.parametrize("eps", [0.0, 1e-6, 1e-3, 0.3, 0.95, 1.0])
     @pytest.mark.parametrize("options", [
-        {}, {"p_meas": 0.5}, {"include_meas_error": False},
-        {"include_init_error": False}, {"include_wait_error": False},
+        {}, {"p_meas": 0.5}, {"p_meas": 0.0},
+        {"include_init_error": False}, {"wait_scale": 0.0},
     ], ids=str)
     @pytest.mark.parametrize("circuit", sorted(CIRCUITS))
     def test_response_matches_the_128_state_formula(self, eps, options, circuit):
@@ -338,7 +338,7 @@ class TestCallsShareNoState:
 
     def test_noise_settings_and_circuits_get_their_own_entries(self):
         with_meas = NoiseParams(eps=1e-2)
-        without_meas = NoiseParams(eps=1e-2, include_meas_error=False)
+        without_meas = NoiseParams(eps=1e-2, p_meas=0.0)
         assert logical_error_exact(with_meas, 0.3, 30, 3) != logical_error_exact(
             without_meas, 0.3, 30, 3
         )

@@ -28,7 +28,7 @@ from qec_cadence.faultsim import (
     _check_retry_feasibility,
     _event_positions,
     _simulate_batch,
-    estimate_pl_mc,
+    estimate_many,
     round_output,
     sample_round_faults,
     wilson_interval,
@@ -45,8 +45,8 @@ def make_cfg(**overrides):
     return TrajectoryConfig(**base)
 
 
-# the accepted-ancilla law of a noiseless preparation: always pattern 0
-CLEAN_ANCILLA = np.eye(128)[0]
+# the syndrome law of a noiseless preparation's ancilla: always syndrome 0
+CLEAN_ANCILLA = np.eye(8)[0]
 
 
 def pooled_chi2_z(counts, probs):
@@ -126,10 +126,10 @@ class TestVectorizedRound:
         # the sparse round's output histogram against the exact transfer
         # row of the same input pattern: only the sampled side fluctuates
         noise = NoiseParams(eps=0.05)
-        anc_probs = accepted_distribution(default_circuit(), noise).probs
+        syn_probs = accepted_distribution(default_circuit(), noise).syndrome_law
         pattern = np.uint8(steane.pattern_from_qubits([2, 6]))
         n = 30_000
-        faults = sample_round_faults(np.random.default_rng(3), n, noise, anc_probs)
+        faults = sample_round_faults(np.random.default_rng(3), n, noise, syn_probs)
         outs = np.full(n, round_output(pattern, 0, 0), dtype=np.uint8)
         outs[faults.index] = round_output(
             pattern, faults.on_data, faults.on_measured)
@@ -140,8 +140,8 @@ class TestVectorizedRound:
 
     def test_one_sorted_entry_per_faulty_round(self):
         noise = NoiseParams(eps=0.05)
-        anc_probs = accepted_distribution(default_circuit(), noise).probs
-        faults = sample_round_faults(np.random.default_rng(5), 5000, noise, anc_probs)
+        syn_probs = accepted_distribution(default_circuit(), noise).syndrome_law
+        faults = sample_round_faults(np.random.default_rng(5), 5000, noise, syn_probs)
         assert np.all(np.diff(faults.index) > 0)
         assert 0 <= faults.index[0] and faults.index[-1] < 5000
 
@@ -157,18 +157,19 @@ class TestVectorizedRound:
         # no CNOT or readout faults: a round's only fault is its ancilla,
         # which enters as the weight-1 stand-in of its syndrome, so the
         # syndrome histogram is a sample of the accepted law's marginal
-        anc_probs = accepted_distribution(
-            default_circuit(), NoiseParams(eps=0.06)).probs
+        accepted = accepted_distribution(default_circuit(), NoiseParams(eps=0.06))
         n = 40_000
         faults = sample_round_faults(
-            np.random.default_rng(42), n, NoiseParams(eps=0.0), anc_probs)
+            np.random.default_rng(42), n, NoiseParams(eps=0.0), accepted.syndrome_law)
         assert not faults.on_data.any()
         syndromes = steane.SYNDROME[faults.on_measured]
         assert np.all(syndromes != 0)
         assert np.array_equal(faults.on_measured, steane.DECODE[syndromes])
         counts = np.bincount(syndromes, minlength=8)
         counts[0] = n - faults.index.size
-        law = np.array([anc_probs[steane.SYNDROME == s].sum() for s in range(8)])
+        law = np.array([accepted.probs[steane.SYNDROME == s].sum()
+                        for s in range(8)])
+        np.testing.assert_allclose(accepted.syndrome_law, law, rtol=1e-14, atol=0)
         assert np.all(counts[law == 0] == 0)
         assert pooled_chi2_z(counts, law) < 5.0
 
@@ -176,7 +177,7 @@ class TestVectorizedRound:
         # clean ancillas and no readout flips: every (round, qubit) carries
         # at most one CNOT X-class, data only, copy only or both, each at
         # cnot_flip (4 eps / 15)
-        noise = NoiseParams(eps=0.15, include_meas_error=False)
+        noise = NoiseParams(eps=0.15, p_meas=0.0)
         n = 20_000
         faults = sample_round_faults(
             np.random.default_rng(7), n, noise, CLEAN_ANCILLA)
@@ -229,10 +230,9 @@ class TestFaultStreams:
     NOISE = NoiseParams(eps=0.3, p_meas=0.5)
 
     def draw(self, seed, rounds=3000, p_gate=0.2):
-        anc_probs = accepted_distribution(default_circuit(), self.NOISE).probs
+        syn_probs = accepted_distribution(default_circuit(), self.NOISE).syndrome_law
         rng = np.random.default_rng(seed)
-        return faultsim._fault_streams(
-            rng, rounds, p_gate, self.NOISE, faultsim._syndrome_law(anc_probs))
+        return faultsim._fault_streams(rng, rounds, p_gate, self.NOISE, syn_probs)
 
     def test_each_stream_comes_sorted(self):
         key, _ = self.draw(1)
@@ -272,7 +272,7 @@ class TestSharedRounds:
             shots=200_000, master_seed=5,
         )
         p_exact = logical_error_exact(cfg.noise, cfg.eps_a, cfg.n_gates, cfg.m)
-        est = estimate_pl_mc(cfg)
+        est = estimate_many([cfg])[0]
         sigma = np.sqrt(p_exact * (1 - p_exact) / cfg.shots)
         assert abs(est.p_hat - p_exact) < 5 * sigma
 
@@ -281,7 +281,7 @@ class TestBatchKernel:
     def test_matches_exact_reference(self):
         cfg = make_cfg(shots=200_000)
         p_exact = logical_error_exact(cfg.noise, cfg.eps_a, cfg.n_gates, cfg.m)
-        est = estimate_pl_mc(cfg)
+        est = estimate_many([cfg])[0]
         sigma = np.sqrt(p_exact * (1 - p_exact) / cfg.shots)
         assert abs(est.p_hat - p_exact) < 4 * sigma
 
@@ -296,18 +296,18 @@ class TestBatchKernel:
             for e in range(128)
             if steane.residual_is_logical(e)
         )
-        est = estimate_pl_mc(cfg)
+        est = estimate_many([cfg])[0]
         sigma = np.sqrt(expect * (1 - expect) / cfg.shots)
         assert abs(est.p_hat - expect) < 4 * sigma
 
     def test_zero_noise_zero_failures(self):
         cfg = make_cfg(noise=NoiseParams(eps=0.0), shots=5000)
-        est = estimate_pl_mc(cfg)
+        est = estimate_many([cfg])[0]
         assert est.failures == 0
 
     def test_ci_width_halves_when_shots_quadruple(self):
-        small = estimate_pl_mc(make_cfg(shots=20_000))
-        large = estimate_pl_mc(make_cfg(shots=80_000))
+        small = estimate_many([make_cfg(shots=20_000)])[0]
+        large = estimate_many([make_cfg(shots=80_000)])[0]
         w_small = small.ci_high - small.ci_low
         w_large = large.ci_high - large.ci_low
         assert w_large == pytest.approx(w_small / 2, rel=0.1)
@@ -328,7 +328,7 @@ class TestChunkCarry:
                        shots=200_000, master_seed=11)
         assert faultsim._chunk_blocks(cfg, BATCH_SHOTS, 0.0, CLEAN_ANCILLA) == 1
         p_exact = logical_error_exact(cfg.noise, eps_a, cfg.n_gates, m)
-        est = estimate_pl_mc(cfg)
+        est = estimate_many([cfg])[0]
         sigma = np.sqrt(p_exact * (1 - p_exact) / cfg.shots)
         assert abs(est.p_hat - p_exact) < 5 * sigma
 
@@ -342,10 +342,10 @@ class TestHighRates:
             n_gates=1000, m=1, eps_a=0.5,
             noise=NoiseParams(eps=0.3, p_meas=0.5), shots=16384, master_seed=4,
         )
-        anc_probs = accepted_distribution(default_circuit(), cfg.noise).probs
+        syn_probs = accepted_distribution(default_circuit(), cfg.noise).syndrome_law
         tracemalloc.start()
         try:
-            _simulate_batch(cfg, 0, anc_probs)
+            _simulate_batch(cfg, 0, syn_probs)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -356,17 +356,17 @@ class TestDeterminism:
     def test_thread_count_does_not_change_the_answer(self):
         # three batches, the last one partial, so three workers share them
         cfg = make_cfg(shots=2 * BATCH_SHOTS + 1000)
-        serial = estimate_pl_mc(cfg, threads=1)
-        parallel = estimate_pl_mc(cfg, threads=3)
+        serial = estimate_many([cfg], threads=1)
+        parallel = estimate_many([cfg], threads=3)
         assert serial == parallel
 
     def test_same_seed_same_counts_repeated_calls(self):
         cfg = make_cfg(shots=30_000)
-        assert estimate_pl_mc(cfg) == estimate_pl_mc(cfg)
+        assert estimate_many([cfg])[0] == estimate_many([cfg])[0]
 
     def test_different_seeds_decorrelate(self):
-        a = estimate_pl_mc(make_cfg(shots=30_000, master_seed=1))
-        b = estimate_pl_mc(make_cfg(shots=30_000, master_seed=2))
+        a = estimate_many([make_cfg(shots=30_000, master_seed=1)])[0]
+        b = estimate_many([make_cfg(shots=30_000, master_seed=2)])[0]
         assert a.failures != b.failures
 
 
@@ -384,7 +384,7 @@ class TestStreamPin:
             n_gates=60, m=3, eps_a=0.4, noise=NoiseParams.from_eps_g(2e-3),
             shots=5000, master_seed=2718,
         )
-        assert estimate_pl_mc(cfg).failures == 500
+        assert estimate_many([cfg])[0].failures == 500
 
     def test_single_round_position_counts(self):
         positions = measure_position_rates(6e-3, 7003, seed=31)

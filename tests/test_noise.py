@@ -71,13 +71,9 @@ class TestNoiseParams:
         n = NoiseParams(eps=0.15)
         assert n.meas_flip == n.eps_g
 
-    def test_measurement_flip_override_and_toggle(self):
+    def test_measurement_flip_override(self):
         assert NoiseParams(eps=0.15, p_meas=0.02).meas_flip == 0.02
-        assert NoiseParams(eps=0.15, include_meas_error=False).meas_flip == 0.0
-        # the override is ignored when the channel is off entirely
-        assert NoiseParams(
-            eps=0.15, include_meas_error=False, p_meas=0.02
-        ).meas_flip == 0.0
+        assert NoiseParams(eps=0.15, p_meas=0.0).meas_flip == 0.0
 
     def test_init_flip_toggle(self):
         assert NoiseParams(eps=0.15).init_flip == pytest.approx(0.1)
@@ -88,7 +84,7 @@ class TestNoiseParams:
         assert n.wait_flip == pytest.approx(n.eps_g / 3.0, rel=1e-15)
         assert NoiseParams(eps=0.15, wait_scale=1.0).wait_flip == \
             pytest.approx(0.1, rel=1e-15)
-        assert NoiseParams(eps=0.15, include_wait_error=False).wait_flip == 0.0
+        assert NoiseParams(eps=0.15, wait_scale=0.0).wait_flip == 0.0
 
     def test_cnot_flip_is_four_fifteenths_of_eps(self):
         # each X-carrying CNOT class (control, target, both) carries 4 of
@@ -110,8 +106,8 @@ class TestNoiseParams:
         {"eps": "0.1"}, {"eps": None}, {"eps": True},
         {"p_meas": "0.01"}, {"p_meas": False},
         {"wait_scale": True}, {"wait_scale": "0.5"},
-        {"include_meas_error": "false"}, {"include_init_error": 1},
-        {"include_wait_error": None},
+        {"include_init_error": "false"}, {"include_init_error": 1},
+        {"include_init_error": None},
     ])
     def test_rejects_wrongly_typed_options(self, options):
         # never parsed, counted as a number or read for its truth value

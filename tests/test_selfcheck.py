@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 
 from qec_cadence import exact, selfcheck
-from qec_cadence.faultsim import estimate_pl_mc
+from qec_cadence.faultsim import estimate_many
 from qec_cadence.selfcheck import CheckResult, run_self_checks
 
 
@@ -28,9 +28,9 @@ def test_check_names_are_unique_and_descriptive():
 def _simulates(transform):
     """A faulty sampler that in effect simulates transform(cfg)."""
     def install(monkeypatch):
-        def faulty(cfg, **kwargs):
-            return estimate_pl_mc(transform(cfg), **kwargs)
-        monkeypatch.setattr(selfcheck, "estimate_pl_mc", faulty)
+        def faulty(cfgs, **kwargs):
+            return estimate_many([transform(cfg) for cfg in cfgs], **kwargs)
+        monkeypatch.setattr(selfcheck, "estimate_many", faulty)
     return install
 
 
