@@ -42,6 +42,15 @@ DEFAULT_SHOTS = 1_000_000
 # 4*eps/15 = (2/5)*eps_g for the data-only and data-plus-copy fault classes.
 EPS_C_COEFF = 0.4
 EPS_D_COEFF = 0.4
+# Fixed reference coefficients (per eps_g) for Steane-style extraction
+# rounds; configs use source "calibrated" to measure their own from the
+# shipped circuit instead.
+BUILTIN_COEFFS = {
+    "eps_s_per_eps_g": 3.45,
+    "eps_o_per_eps_g": 0.61,
+    "eps_c_per_eps_g": EPS_C_COEFF,
+    "eps_d_per_eps_g": EPS_D_COEFF,
+}
 SPECTATOR_COUNT = 6
 
 SINGLE_ERROR_INPUTS = tuple(1 << q for q in range(7))

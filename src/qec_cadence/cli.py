@@ -19,10 +19,9 @@ import sys
 from dataclasses import dataclass, fields
 
 from .calibration import (
+    BUILTIN_COEFFS,
     DEFAULT_EPS_G_GRID,
     DEFAULT_SHOTS,
-    EPS_C_COEFF,
-    EPS_D_COEFF,
     calibrate,
 )
 from .faultsim import (
@@ -48,16 +47,6 @@ CSV_HEADER = (
     "eps_g,eps_a,m,N,B,shots,failures,p_l_mc,ci_low,ci_high,"
     "p_l_formula,p_l_approx,seed"
 )
-
-# Fixed reference coefficients (per eps_g) for Steane-style extraction
-# rounds; use source "calibrated" to measure your own from the shipped
-# circuit instead.
-BUILTIN_COEFFS = {
-    "eps_s_per_eps_g": 3.45,
-    "eps_o_per_eps_g": 0.61,
-    "eps_c_per_eps_g": EPS_C_COEFF,
-    "eps_d_per_eps_g": EPS_D_COEFF,
-}
 
 DEFAULT_NOISE_OPTIONS = {
     f.name: f.default for f in fields(NoiseParams) if f.name != "eps"
@@ -334,8 +323,6 @@ def cmd_calibrate(config: Config, seed: int, threads: int, out: str | None) -> i
         f"slope_sd = {result.slope_sd:.4f}  slope_co = {result.slope_co:.4f}  "
         f"({result.normalization}); wrote {path}"
     )
-    for note in result.clamp_warnings:
-        print(f"warning: {note}", file=sys.stderr)
     return 0
 
 

@@ -5,6 +5,9 @@ of m gates, each block followed by one QEC round that is skipped with
 probability eps_a.  Single faults are corrected; a logical failure needs two
 faults on distinct qubits whose errors coexist on the data before a round
 removes them.  The model sums all such pairs to second order in the rates.
+The sum is stated once, as the 15 terms of _pair_terms: table_contributions
+and pl_second_order read them at finite B, approx_coefficients reads their
+large-B limit d/m + c0 + c1*m.
 
 Per-qubit elementary rates (all per gate or per performed round):
   eps_g  gate X error during one logical gate
@@ -80,6 +83,8 @@ def rates_at(coeffs: dict, eps_g: float, eps_a: float = 0.0) -> AbstractRates:
 
 def as_rate(name: str, value) -> float:
     """`value` as a float; ValueError unless it is a real number (not a bool)."""
+    if type(value) is float:  # skips the slow ABC check on the common path
+        return value
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
         return float(value)
     raise ValueError(f"{name} must be a real number, got {value!r}")
@@ -143,58 +148,56 @@ def gamma(blocks: int, eps_a: float) -> float:
 
 
 def gamma3(blocks: int, eps_a: float) -> float:
-    """sum_{f=1}^{B-1} eps_a^f (B - f - 1), in closed form.
+    """gamma(B - 1), and 0 at B = 1.
 
-    Same as gamma but the creating fault sits inside a performed round, so the
-    survival window starts one block later.
+    The creating fault sits inside a performed round, so its survival
+    window starts one block later.
     """
-    if blocks < 1:
-        raise ValueError("blocks must be >= 1")
-    if not 0.0 <= eps_a < 1.0:
-        raise ValueError(f"eps_a must be in [0, 1), got {eps_a}")
-    if eps_a == 0.0 or blocks <= 2:
-        return 0.0
-    b = blocks
-    one = 1.0 - eps_a
-    return eps_a * (b * one - 2.0 + eps_a + eps_a ** (b - 1)) / (one * one)
+    return gamma(blocks - 1 if blocks > 1 else blocks, eps_a)
+
+
+# A term's window, the places it fits in B blocks: B, B - 1, gamma, gamma3.
+_BLOCK, _ADJACENT, _SKIP, _SKIP3 = range(4)
+
+
+def _pair_terms(rates: AbstractRates) -> tuple:
+    """The second-order sum as (name, window, power of m, product) terms.
+
+    A term is 42 * window * m**power * product.  Names say which two faults
+    pair up ("syndlike": syndrome or double) and how many blocks apart.
+    """
+    rates.validate()
+    g, s, c, d = rates.eps_g, rates.eps_s, rates.eps_c, rates.eps_d
+    one = 1.0 - rates.eps_a
+    sd = s + d
+    return (
+        ("block_gate_gate", _BLOCK, 2, g * g / 2.0),
+        ("block_gate_syndlike", _BLOCK, 1, one * g * sd),
+        ("round_double_syndlike", _BLOCK, 0, one * d * (s + d / 2.0)),
+        ("round_syndrome_correction", _BLOCK, 0, one * s * c),
+        ("round_correction_correction", _BLOCK, 0, one * c * c / 2.0),
+        ("adjacent_syndrome_gate", _ADJACENT, 1, one * s * g),
+        ("adjacent_syndrome_syndlike", _ADJACENT, 0, one * one * s * sd),
+        ("adjacent_correction_gate", _ADJACENT, 1, one * c * g),
+        ("adjacent_correction_syndlike", _ADJACENT, 0, one * one * c * sd),
+        ("skip_gate_gate", _SKIP, 2, g * g),
+        ("skip_gate_syndlike", _SKIP, 1, one * g * sd),
+        ("skip_syndrome_gate", _SKIP3, 1, one * s * g),
+        ("skip_syndrome_syndlike", _SKIP3, 0, one * one * s * sd),
+        ("skip_correction_gate", _SKIP3, 1, one * c * g),
+        ("skip_correction_syndlike", _SKIP3, 0, one * one * c * sd),
+    )
 
 
 def table_contributions(rates: AbstractRates, schedule: Schedule) -> list[tuple[str, float]]:
-    """The 15 itemized second-order pair terms, each already times 42.
-
-    Row naming: which two elementary faults pair up and how many blocks apart
-    ("block" same block, "adjacent" next performed round, "skip" separated by
-    one or more skipped rounds).
-    """
-    rates.validate()
-    b = float(schedule.blocks)
-    m = float(schedule.m)
-    ea = rates.eps_a
-    one = 1.0 - ea
-    mg = m * rates.eps_g
-    es, ec, ed = rates.eps_s, rates.eps_c, rates.eps_d
-    sd = es + ed
-    g = gamma(schedule.blocks, ea)
-    g3 = gamma3(schedule.blocks, ea)
+    """The 15 second-order pair terms at B blocks, each already times 42."""
+    terms = _pair_terms(rates)
+    b, m = schedule.blocks, float(schedule.m)
+    window = (float(b), b - 1.0, gamma(b, rates.eps_a), gamma3(b, rates.eps_a))
+    m_power = (1.0, m, m * m)
     k = float(ORDERED_QUBIT_PAIRS)
-    rows = [
-        ("block_gate_gate", k * b * mg * mg / 2.0),
-        ("block_gate_syndlike", k * b * one * mg * sd),
-        ("round_double_syndlike", k * b * one * ed * (es + ed / 2.0)),
-        ("round_syndrome_correction", k * b * one * es * ec),
-        ("round_correction_correction", k * b * one * ec * ec / 2.0),
-        ("adjacent_syndrome_gate", k * (b - 1.0) * one * es * mg),
-        ("adjacent_syndrome_syndlike", k * (b - 1.0) * one * one * es * sd),
-        ("adjacent_correction_gate", k * (b - 1.0) * one * ec * mg),
-        ("adjacent_correction_syndlike", k * (b - 1.0) * one * one * ec * sd),
-        ("skip_gate_gate", k * g * mg * mg),
-        ("skip_gate_syndlike", k * g * one * mg * sd),
-        ("skip_syndrome_gate", k * g3 * one * es * mg),
-        ("skip_syndrome_syndlike", k * g3 * one * one * es * sd),
-        ("skip_correction_gate", k * g3 * one * ec * mg),
-        ("skip_correction_syndlike", k * g3 * one * one * ec * sd),
-    ]
-    return rows
+    return [(name, k * window[w] * m_power[p] * product)
+            for name, w, p, product in terms]
 
 
 def pl_second_order(rates: AbstractRates, schedule: Schedule) -> float:
@@ -231,25 +234,23 @@ class ApproxCoefficients:
 
 
 def approx_coefficients(rates: AbstractRates, scale: float) -> ApproxCoefficients:
-    """Large-B coefficients of the d/m + c0 + c1*m approximation.
+    """Large-B limit of the pair terms, d/m + c0 + c1*m times scale (pass N).
 
-    scale multiplies all three coefficients; pass the total gate count N to
-    approximate the full-sequence failure probability.  The minimizing m
-    depends only on d/c1, where scale cancels.
+    A window grows by a fixed slope per block, 1 for B and B - 1 and
+    eps_a / (1 - eps_a) for both skip weights; at B = N/m a term of power p
+    tends to N * 42 * slope * product * m**(p - 1), so p = 0, 1, 2 add to d,
+    c0, c1.  The minimizing m depends only on d/c1, where scale cancels.
     """
-    rates.validate()
+    terms = _pair_terms(rates)
     if scale <= 0:
         raise ValueError("scale must be positive")
-    ea = rates.eps_a
-    one = 1.0 - ea
-    es, ec, ed = rates.eps_s, rates.eps_c, rates.eps_d
-    eg = rates.eps_g
+    skip = rates.eps_a / (1.0 - rates.eps_a)
+    slope = (1.0, 1.0, skip, skip)
+    coeffs = [0.0, 0.0, 0.0]
+    for _, w, p, product in terms:
+        coeffs[p] += slope[w] * product
     k = ORDERED_QUBIT_PAIRS * scale
-    bracket = ec * (es + ec / 2.0) + ed * (es + ed / 2.0) + (es + ed) * (ec + es)
-    d = k * one * bracket
-    c0 = k * eg * (ec + 2.0 * es + ed)
-    c1 = k * eg * eg * (1.0 / one - 0.5)
-    return ApproxCoefficients(d=d, c0=c0, c1=c1)
+    return ApproxCoefficients(*(k * c for c in coeffs))
 
 
 def m_min(rates: AbstractRates) -> int:

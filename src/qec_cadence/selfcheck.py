@@ -2,7 +2,7 @@
 
 Each check is cheap (a few seconds total), needs no configuration, and
 exercises a different cross-validation seam: closed forms against direct
-summation, the itemized table against the total, the independent pair
+summation, the summed table against its large-B limit, the independent pair
 enumeration against the closed form, the code tables against brute force,
 the preparation circuit against the single-fault audit, the batch
 sampler against the exact evaluator, and the exact evaluator's 16-class
@@ -17,6 +17,7 @@ import numpy as np
 
 from . import model, steane
 from .ancilla import default_circuit, single_fault_audit, strip_verification
+from .calibration import BUILTIN_COEFFS
 from .exact import (
     block_output_distribution,
     logical_error_exact,
@@ -38,37 +39,32 @@ def _check_gamma_sums() -> CheckResult:
     for blocks in (1, 2, 3, 5, 10, 50, 200):
         for k in range(0, 100, 7):
             eps_a = k / 100.0
-            direct = sum(
-                eps_a**f * (blocks - f) for f in range(1, blocks)
-            )
-            direct3 = sum(
-                eps_a**f * (blocks - f - 1) for f in range(1, blocks)
-            )
-            for got, want in (
-                (model.gamma(blocks, eps_a), direct),
-                (model.gamma3(blocks, eps_a), direct3),
-            ):
-                err = abs(got - want) / max(abs(want), 1e-300)
-                if want == 0.0:
-                    err = abs(got)
-                worst = max(worst, err)
+            want = sum(eps_a**f * (blocks - f) for f in range(1, blocks))
+            got = model.gamma(blocks, eps_a)
+            err = abs(got - want) / want if want else abs(got)
+            worst = max(worst, err)
     return CheckResult(
         "gamma-closed-forms", worst < 1e-12, f"max relative error {worst:.2e}"
     )
 
 
-def _check_table_sum() -> CheckResult:
-    rates = model.AbstractRates(
-        eps_g=2e-4, eps_a=0.35, eps_s=7e-4, eps_o=1.2e-4, eps_c=8e-5, eps_d=8e-5
-    )
+def _check_approx_limit() -> CheckResult:
+    # approx_coefficients is the large-B limit of the terms pl_second_order
+    # sums: at B = 10^6 the gap reads 2.8e-6 (it falls as 1/B), c1 off by
+    # 0.1% reads 8.5e-4 (at eps_a 0.7, m 16)
     worst = 0.0
-    for n_gates, m in ((12, 3), (100, 10), (60, 5)):
-        sched = model.Schedule(n_gates=n_gates, m=m)
-        total = sum(v for _, v in model.table_contributions(rates, sched))
-        ref = model.pl_second_order(rates, sched)
-        worst = max(worst, abs(total - ref) / max(ref, 1e-300))
+    for eps_a in (0.0, 0.3, 0.7):
+        rates = model.rates_at(BUILTIN_COEFFS, 1e-9, eps_a)
+        coeffs = model.approx_coefficients(rates, 1.0)
+        for m in (1, 4, 16):
+            sched = model.Schedule(n_gates=10**6 * m, m=m)
+            per_gate = model.pl_second_order(rates, sched) / sched.n_gates
+            limit = coeffs.evaluate(m)
+            worst = max(worst, abs(per_gate - limit) / limit)
     return CheckResult(
-        "table-sum-identity", worst < 1e-12, f"max relative error {worst:.2e}"
+        "approx-large-b-limit",
+        worst < 2e-5,
+        f"P_L / N at B = 1e6 vs d/m + c0 + c1*m: max relative gap {worst:.2e}",
     )
 
 
@@ -206,7 +202,7 @@ def _check_exact_lumping() -> CheckResult:
 def run_self_checks() -> list[CheckResult]:
     return [
         _check_gamma_sums(),
-        _check_table_sum(),
+        _check_approx_limit(),
         _check_pairwise_oracle(),
         _check_code_tables(),
         _check_ancilla_audit(),

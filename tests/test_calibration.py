@@ -175,9 +175,9 @@ class TestCalibrate:
 
 class TestClampPath:
     def test_negative_coefficients_clamp_with_warning(self, monkeypatch):
-        # physical configurations cannot push the fitted slopes below the
-        # analytic 0.4 coupling share, so synthesize rates that do and
-        # check the defensive path: clamp to zero, warn, record the note
+        # at high eps_g the fitted slopes flatten below the analytic 0.4
+        # coupling share (eps_g = 0.5 fits slope_sd ~0.17); fake zero rates
+        # reach the same path without sampling: clamp to zero, warn, record
         def fake_positions(eps, shots, seed=0, noise_options=None):
             return [
                 PositionRates(pattern=1 << q, shots=1000, two_count=0,

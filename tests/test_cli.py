@@ -7,6 +7,8 @@ import json
 import multiprocessing
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -502,6 +504,28 @@ class TestCalibrateCommand:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert err.startswith("config error: ") and str(record_path) in err
+
+    def test_clamp_note_is_reported_once(self, tmp_path):
+        # at eps_g = 0.5 the fitted slopes flatten below the 0.4 coupling
+        # shares, so both coefficients clamp; a subprocess, because pytest
+        # captures warnings raised in-process
+        payload = {"seed": 3,
+                   "calibration": {"eps_g_grid": [0.5], "shots": 7000}}
+        record_path = tmp_path / "cal.json"
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+            str(Path(cli.__file__).resolve().parents[1]),
+            env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "qec_cadence.cli", "calibrate",
+             "--config", write_config(tmp_path, payload),
+             "--out", str(record_path)],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        record = json.loads(record_path.read_text())
+        assert len(record["clamp_warnings"]) == 2
+        for note in record["clamp_warnings"]:
+            assert proc.stderr.count(note) == 1, proc.stderr
 
 
 class TestCheckCommand:

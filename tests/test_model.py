@@ -213,6 +213,19 @@ class TestSecondOrderFormula:
         assert len(rows) == 15
         assert math.fsum(v for _, v in rows) == pl_second_order(rates, sched)
 
+    def test_row_names_and_order(self):
+        # the names and their order are the public shape of the table
+        rows = table_contributions(BUILTIN, Schedule(n_gates=1000, m=8))
+        assert [name for name, _ in rows] == [
+            "block_gate_gate", "block_gate_syndlike", "round_double_syndlike",
+            "round_syndrome_correction", "round_correction_correction",
+            "adjacent_syndrome_gate", "adjacent_syndrome_syndlike",
+            "adjacent_correction_gate", "adjacent_correction_syndlike",
+            "skip_gate_gate", "skip_gate_syndlike", "skip_syndrome_gate",
+            "skip_syndrome_syndlike", "skip_correction_gate",
+            "skip_correction_syndlike",
+        ]
+
     def test_pure_gate_noise_reduces_to_pair_count(self):
         # with every non-gate rate zero only same-block gate pairs remain:
         # 42 * B * m^2 * eps_g^2 / 2

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from qec_cadence import exact, selfcheck
+from qec_cadence import exact, model, selfcheck
 from qec_cadence.faultsim import estimate_many
 from qec_cadence.selfcheck import CheckResult, run_self_checks
 
@@ -59,4 +59,15 @@ def test_exact_lumping_rejects_a_round_that_breaks_the_symmetry(monkeypatch):
         return t
     monkeypatch.setattr(selfcheck, "syndrome_extraction_transfer", skewed)
     result = selfcheck._check_exact_lumping()
+    assert not result.passed, result.detail
+
+
+def test_approx_limit_rejects_a_slipped_coefficient(monkeypatch):
+    # c1 is 85% of P_L / N at eps_a 0.7, m 16: 0.1% on it reads ~8.5e-4
+    exact_limit = model.approx_coefficients
+    def slipped(rates, scale):
+        coeffs = exact_limit(rates, scale)
+        return replace(coeffs, c1=coeffs.c1 * 1.001)
+    monkeypatch.setattr(model, "approx_coefficients", slipped)
+    result = selfcheck._check_approx_limit()
     assert not result.passed, result.detail
