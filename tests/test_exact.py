@@ -314,7 +314,7 @@ class TestKernelPower:
 
     def test_criterion_7_scan_is_fast(self):
         # the exact half of acceptance criterion 7: 264 evaluations over 3
-        # noise settings, each building its own round
+        # noise settings, so 3 round builds; the other 261 calls reuse one
         t0 = time.perf_counter()
         for eps_g in (5e-5, 1e-4, 3e-4):
             noise = NoiseParams.from_eps_g(eps_g)
@@ -322,6 +322,13 @@ class TestKernelPower:
                 for m in range(1, 9):
                     logical_error_exact(noise, k * 0.05, 840, m)
         assert time.perf_counter() - t0 < 5.0
+
+
+@pytest.fixture
+def cold_response_cache():
+    exact._syndrome_response.cache_clear()
+    yield
+    exact._syndrome_response.cache_clear()
 
 
 class TestCallsShareNoState:
@@ -337,15 +344,60 @@ class TestCallsShareNoState:
         assert single_round_rates(noise) == rates_before
 
     def test_noise_settings_and_circuits_get_their_own_entries(self):
-        with_meas = NoiseParams(eps=1e-2)
-        without_meas = NoiseParams(eps=1e-2, p_meas=0.0)
-        assert logical_error_exact(with_meas, 0.3, 30, 3) != logical_error_exact(
-            without_meas, 0.3, 30, 3
-        )
+        default = NoiseParams(eps=1e-2)
+        cached = logical_error_exact(default, 0.3, 30, 3)
+        for other in (
+            NoiseParams(eps=1e-2, p_meas=0.0),
+            NoiseParams(eps=1e-2, wait_scale=0.0),
+            NoiseParams(eps=1e-2, include_init_error=False),
+        ):
+            assert logical_error_exact(other, 0.3, 30, 3) != cached, other
         stripped = strip_verification(default_circuit())
-        assert logical_error_exact(with_meas, 0.3, 30, 3) != logical_error_exact(
-            with_meas, 0.3, 30, 3, stripped
-        )
+        assert logical_error_exact(default, 0.3, 30, 3, stripped) != cached
+
+    def test_a_scan_builds_its_round_once(self, monkeypatch, cold_response_cache):
+        builds = []
+
+        def counting(circuit, noise):
+            builds.append(noise)
+            return accepted_distribution(circuit, noise)
+
+        monkeypatch.setattr(exact, "accepted_distribution", counting)
+        noise = NoiseParams.from_eps_g(1e-4)
+        for k in range(11):
+            for m in range(1, 9):
+                logical_error_exact(noise, k * 0.05, 840, m)
+        assert builds == [noise]
+        table = exact._syndrome_response(noise, None)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 1.0
+
+
+class TestCadenceMap:
+    def test_optimal_cadence_falls_as_postselection_fails_more(self):
+        # The paper's headline question: how the optimal m moves with eps_a.
+        # Exact optimum over the 22 divisors of N = 840 up to 60, ties to
+        # the smallest m.  Both rows read 6, 5, 4, 4, 3, 2, 2, 1, 1, 1 for
+        # eps_a = 0, 0.1, ..., 0.9.  Near ties are left out of the equality:
+        # at eps_g 1e-4, eps_a 0.5 the runner-up m = 3 is 0.06% above m = 2.
+        # eps_g 3e-4 is not tested: at eps_a 0.5 and 0.7 its exact winners
+        # are 3 and 2 by under 0.5%, where the closed-form m_min gives 2 and 1.
+        n_gates = 840
+        divisors = [m for m in range(1, 61) if n_gates % m == 0]
+        assert len(divisors) == 22
+        expected = [6, 5, 4, 4, 3, 2, 2, 1, 1, 1]
+        near_ties = {(1e-4, 0.5)}
+        for eps_g in (5e-5, 1e-4):
+            noise = NoiseParams.from_eps_g(eps_g)
+            row = []
+            for k in range(10):
+                eps_a = k / 10
+                row.append(min(divisors, key=lambda m: logical_error_exact(
+                    noise, eps_a, n_gates, m)))
+                if (eps_g, eps_a) not in near_ties:
+                    assert row[-1] == expected[k], (eps_g, eps_a, row)
+            assert row == sorted(row, reverse=True), (eps_g, row)
 
 
 class TestSingleRoundRates:
