@@ -240,16 +240,18 @@ def cmd_sweep(config: Config, seed: int, threads: int, out: str | None) -> int:
     try:
         coeffs = rate_coefficients(config)
         schedules = [Schedule(n_gates=n_gates, m=m) for m in section["m"]]
-        for eps_g in section["eps_g"]:
+        for g, eps_g in enumerate(section["eps_g"]):
             noise = NoiseParams.from_eps_g(eps_g, **config.noise)
+            # one seed per (eps_g, m): the pair's eps_a rows share its draw
+            seeds = [derive_seed(seed, g * len(schedules) + j)
+                     for j in range(len(schedules))]
             for eps_a in section["eps_a"]:
                 rates = rates_at(coeffs, eps_g, eps_a)
                 approx = approx_coefficients(rates, scale=n_gates)
-                for sched in schedules:
+                for sched, master_seed in zip(schedules, seeds):
                     cfg = TrajectoryConfig(
                         n_gates=n_gates, m=sched.m, eps_a=eps_a, noise=noise,
-                        shots=section["shots"],
-                        master_seed=derive_seed(seed, len(points)),
+                        shots=section["shots"], master_seed=master_seed,
                     )
                     points.append((eps_g, cfg, pl_second_order(rates, sched),
                                    approx.evaluate(sched.m)))

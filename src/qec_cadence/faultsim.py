@@ -47,16 +47,28 @@ A fault-free round changes the data only if the syndrome is non-zero
 fault-free rounds with probability eps_a**j.  Each event resolves the gap
 since its shot's last event (carried across chunks), then its gate flips,
 then its own round.  The walk orders a chunk's shots by event count once,
-so the shots with a k-th event are a prefix, and takes every shot's k-th
-event at once for k = 1, 2, ...  After a shot's last event nothing is
+so the shots with a k-th event are a prefix, lays the events out
+rank-major, and takes every shot's k-th event at once, as one slice, for
+k = 1, 2, ...  After a shot's last event nothing is
 drawn: a correction never changes the logical verdict.  Work scales with
 faults, not with shots x blocks.
+
+Shared draws.  Nothing above reads eps_a but the walk: the faults, the
+uniforms and the chunk layout are the same for configs that differ in
+eps_a alone.  So a batch runs such a group at once (_groups): each chunk
+is drawn, merged and ordered once, and each config compares the shared
+uniforms with its own eps_a and walks its own data.  Every config gets
+exactly the count it gets alone, and a group's estimates are
+common-random-number estimates: each exact-marginal, none independent of
+the others.  Callers that need independent estimates give the configs
+distinct master seeds.
 
 Determinism contract: every batch of BATCH_SHOTS shots seeds its generator
 from SeedSequence([master_seed, batch_index]), its chunk layout depends on
 its config alone, and failure counts are reduced as integers.  Results are
-bit-identical for a given master seed at any worker count; estimate_many
-runs the batches of all its configs in one process pool.
+bit-identical for a given master seed at any worker count, and whatever
+other configs are run with it; estimate_many runs the batches of all its
+groups in one process pool.
 """
 from __future__ import annotations
 
@@ -300,21 +312,27 @@ def _chunk_blocks(cfg: TrajectoryConfig, shots: int, p_gate: float,
 
 
 def _simulate_batch(
-    cfg: TrajectoryConfig, batch_index: int, syn_probs: np.ndarray
-) -> int:
-    """Failure count of one batch.  Pure function of its arguments.
+    group: tuple, batch_index: int, syn_probs: np.ndarray
+) -> list[int]:
+    """Failure counts of one batch, one per config of the group.
 
-    syn_probs is the accepted ancilla's syndrome law.
+    The group's configs differ in eps_a alone (_groups): per chunk the
+    draw, the merge, the bookkeeping and the rank order come once, and
+    each config walks its own data with its own skips and gap fixes.  Pure
+    function of its arguments; syn_probs is the accepted ancilla's
+    syndrome law.
     """
+    cfg = group[0]
     n = _batch_extent(cfg, batch_index)
     rng = np.random.default_rng(
         np.random.SeedSequence([cfg.master_seed, batch_index])
     )
     p_gate = parity_flip_prob(cfg.noise.eps_g, cfg.m)
     chunk = _chunk_blocks(cfg, n, p_gate, syn_probs)
+    eps_a = [c.eps_a for c in group]
     # a dirty shot stays uncorrected through j fault-free rounds w.p. eps_a**j
-    stay = cfg.eps_a ** np.arange(cfg.blocks + 1)
-    data = np.zeros(n, dtype=np.uint8)
+    stay = np.array(eps_a, dtype=float)[:, None] ** np.arange(cfg.blocks + 1)
+    data = np.zeros((len(group), n), dtype=np.uint8)  # one row per config
     settled = np.full(n, -1, dtype=np.int64)  # block of each shot's last event
     for first in range(0, cfg.blocks, chunk):
         blocks = min(chunk, cfg.blocks - first)
@@ -331,24 +349,31 @@ def _simulate_batch(
         gap[start] = first + block[start] - settled[shot[start]] - 1
         settled[shot[end]] = first + block[end]
         u = rng.random((2, key.size))
-        fix = u[0] >= stay[gap]
-        perform = u[1] >= cfg.eps_a
-        flip = _field(word, 0)
-        on_data, on_measured = _field(word, DATA_SHIFT), _field(word, MEASURED_SHIFT)
         # shots by falling event count, so the shots with a rank-th event
         # lead; ties in any order, since a rank's shots update independently
         by_count = np.argsort(-count)
         start, count = start[by_count], count[by_count]
-        owner = shot[start]
         active = np.searchsorted(-count, -np.arange(count[0]), side="left")
-        for rank, k in enumerate(active):
-            e = start[:k] + rank  # each such shot's rank-th event
-            s = owner[:k]
-            d = data[s]
-            d = np.where(fix[e], _CORRECTED[d], d) ^ flip[e]
-            data[s] = np.where(perform[e],
-                               round_output(d, on_data[e], on_measured[e]), d)
-    return int(np.count_nonzero(RESIDUAL_LOGICAL[data]))
+        # events rank-major: a rank's events, each such shot's rank-th, are
+        # one slice of every array the configs read
+        order = np.concatenate([start[:k] + rank for rank, k in enumerate(active)])
+        bounds = np.cumsum(active).tolist()
+        owner, gap, word = shot[order], gap[order], word[order]
+        u_fix, u_perform = u[0][order], u[1][order]
+        flip = _field(word, 0)
+        on_data, on_measured = _field(word, DATA_SHIFT), _field(word, MEASURED_SHIFT)
+        for row, stay_row, skip in zip(data, stay, eps_a):
+            fix = u_fix >= stay_row[gap]
+            perform = u_perform >= skip
+            lo = 0
+            for hi in bounds:
+                s = owner[lo:hi]
+                d = row[s]
+                d = np.where(fix[lo:hi], _CORRECTED[d], d) ^ flip[lo:hi]
+                row[s] = np.where(perform[lo:hi], round_output(
+                    d, on_data[lo:hi], on_measured[lo:hi]), d)
+                lo = hi
+    return np.count_nonzero(RESIDUAL_LOGICAL[data], axis=1).tolist()
 
 
 def _check_retry_feasibility(cfg: TrajectoryConfig, p_accept: float) -> None:
@@ -371,26 +396,45 @@ def _check_retry_feasibility(cfg: TrajectoryConfig, p_accept: float) -> None:
         )
 
 
+def _groups(cfgs: list) -> list[list[int]]:
+    """Indices of the configs that differ in eps_a alone, grouped.
+
+    Such configs draw the same faults and uniforms in every batch, since
+    neither the draws nor the chunk layout read eps_a; _simulate_batch
+    runs a group's batch once for all of them.
+    """
+    groups: dict = {}
+    for i, cfg in enumerate(cfgs):
+        key = (cfg.n_gates, cfg.m, cfg.noise, cfg.shots, cfg.master_seed)
+        groups.setdefault(key, []).append(i)
+    return list(groups.values())
+
+
 def estimate_many(cfgs, threads: int = 1) -> list[PlEstimate]:
     """Logical error estimates of several configs, one per config.
 
-    Every config is checked before any sampling starts.  With threads > 1
-    and more than one batch in total, the batches of all configs run on
-    one process pool; the result is bit-identical at any `threads` value,
-    since each batch's seed depends on its config and index alone.  The
-    ancillas come from default_circuit().
+    Every config is checked before any sampling starts.  Configs that
+    differ in eps_a alone share each batch's draw (_groups): their
+    estimates are common-random-number estimates, each exact-marginal but
+    none independent of the others, so a caller that treats estimates as
+    independent must give them distinct master seeds.  Each count is
+    exactly the one the config gets alone.  With threads > 1 and more than
+    one (group, batch) task, the tasks run on one process pool; the result
+    is bit-identical at any `threads` value, since each batch's seed
+    depends on its config and index alone.  The ancillas come from
+    default_circuit().
     """
     cfgs = list(cfgs)
     accepted = {noise: accepted_distribution(default_circuit(), noise)
                 for noise in {cfg.noise for cfg in cfgs}}
     for cfg in cfgs:
         _check_retry_feasibility(cfg, accepted[cfg.noise].p_accept)
-    tasks = [(i, b) for i, cfg in enumerate(cfgs)
-             for b in range(-(-cfg.shots // BATCH_SHOTS))]
+    tasks = [(members, b) for members in _groups(cfgs)
+             for b in range(-(-cfgs[members[0]].shots // BATCH_SHOTS))]
     args = (
-        [cfgs[i] for i, _ in tasks],
+        [tuple(cfgs[i] for i in members) for members, _ in tasks],
         [b for _, b in tasks],
-        [accepted[cfgs[i].noise].syndrome_law for i, _ in tasks],
+        [accepted[cfgs[members[0]].noise].syndrome_law for members, _ in tasks],
     )
     if threads <= 1 or len(tasks) <= 1:
         counts = list(map(_simulate_batch, *args))
@@ -400,6 +444,7 @@ def estimate_many(cfgs, threads: int = 1) -> list[PlEstimate]:
         with ProcessPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
             counts = list(pool.map(_simulate_batch, *args))
     failures = [0] * len(cfgs)
-    for (i, _), count in zip(tasks, counts):
-        failures[i] += count
+    for (members, _), group_counts in zip(tasks, counts):
+        for i, count in zip(members, group_counts):
+            failures[i] += count
     return [PlEstimate.from_counts(f, cfg.shots) for f, cfg in zip(failures, cfgs)]

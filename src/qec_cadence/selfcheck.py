@@ -132,7 +132,8 @@ def _check_ancilla_audit() -> CheckResult:
 
 
 # Configs of the sampler-vs-exact check: (eps_g, N, m, eps_a, shots), each
-# run at its own fixed seed, so the verdict is deterministic.  P_L moves
+# run at its own fixed seed, so the verdict is deterministic and the four
+# estimates are independent, as the chi-square needs.  P_L moves
 # steeply with the schedule in the first: ignoring skips reads ~8 sigma off
 # there, m - 1 gates per block ~13.  In the second a kernel that never skips
 # a faulty round reads ~330 sigma high, one that always skips it ~180 low.

@@ -183,7 +183,7 @@ class TestSweepCommand:
         for eps_a in (0.0, 0.3):
             rates = rates_at(BUILTIN_COEFFS, 1e-3, eps_a)
             approx = approx_coefficients(rates, scale=4)
-            for m in (1, 2):
+            for pair, m in enumerate((1, 2)):
                 row = dict(zip(CSV_HEADER.split(","),
                                lines[1 + index].split(",")))
                 assert float(row["eps_g"]) == 1e-3
@@ -198,8 +198,47 @@ class TestSweepCommand:
                 assert float(row["p_l_mc"]) == int(row["failures"]) / 3000
                 assert 0.0 <= float(row["p_l_formula"]) <= 1.0
                 assert float(row["p_l_approx"]) == approx.evaluate(m)
-                assert int(row["seed"]) == derive_seed(42, index)
+                # one seed per (eps_g, m) pair, indexed by the pair alone
+                assert int(row["seed"]) == derive_seed(42, pair)
                 index += 1
+
+    def test_rows_of_one_pair_share_a_seed(self, tmp_path):
+        payload = {"seed": 9, "sweep": {"eps_g": [1e-3, 2e-3],
+                                        "eps_a": [0.0, 0.3, 0.9],
+                                        "m": [1, 2, 4], "n_gates": 8,
+                                        "shots": 2000}}
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", write_config(tmp_path, payload),
+                     "--threads", "1", "--out", str(out)]) == 0
+        rows = [dict(zip(CSV_HEADER.split(","), line.split(",")))
+                for line in out.read_text().splitlines()[1:]]
+        seeds = {}
+        for row in rows:
+            seeds.setdefault((row["eps_g"], row["m"]), set()).add(row["seed"])
+        assert len(seeds) == 6
+        assert all(len(s) == 1 for s in seeds.values())
+        assert len({s for (s,) in seeds.values()}) == 6
+        for g, eps_g in enumerate((1e-3, 2e-3)):
+            for j, m in enumerate((1, 2, 4)):
+                assert seeds[(repr(eps_g), str(m))] == {str(derive_seed(9, 3 * g + j))}
+
+    def test_adding_an_eps_a_leaves_the_other_rows_as_they_were(self, tmp_path):
+        grid = {"eps_g": [1e-3, 3e-3], "eps_a": [0.0, 0.5], "m": [1, 2],
+                "n_gates": 8, "shots": 20_000}
+        wider = dict(grid, eps_a=[0.0, 0.3, 0.5, 0.9])
+        texts = []
+        for name, sweep in (("a", grid), ("b", wider)):
+            out = tmp_path / f"{name}.csv"
+            cfg_path = write_config(tmp_path, {"seed": 4, "sweep": sweep},
+                                    name=f"{name}.json")
+            assert main(["sweep", "--config", cfg_path, "--threads", "2",
+                         "--out", str(out)]) == 0
+            texts.append(out.read_text().splitlines())
+        narrow, wide = texts
+        kept = [line for line in wide[1:]
+                if line.split(",")[1] in (repr(0.0), repr(0.5))]
+        assert len(wide) == 1 + 2 * 4 * 2
+        assert [narrow[0]] + kept == narrow
 
     def test_reruns_are_byte_identical(self, tmp_path):
         cfg_path = write_config(tmp_path, TINY_SWEEP)

@@ -333,6 +333,60 @@ class TestChunkCarry:
         assert abs(est.p_hat - p_exact) < 5 * sigma
 
 
+class TestSharedDraws:
+    """Configs that differ in eps_a alone share each batch's draws.
+
+    Neither the draws nor the chunk layout read eps_a, so one draw per
+    chunk serves the whole group, and each config must get exactly the
+    count it gets alone.
+    """
+
+    HOT = NoiseParams(eps=0.1, p_meas=0.2)
+
+    def configs(self):
+        # two groups, interleaved: a low-rate one over two batches and a
+        # high-rate one whose batch spans several chunks
+        low = [make_cfg(eps_a=a, shots=BATCH_SHOTS + 3000, master_seed=77)
+               for a in (0.0, 0.4, 1.0)]
+        hot = [TrajectoryConfig(n_gates=24, m=1, eps_a=a, noise=self.HOT,
+                                shots=BATCH_SHOTS, master_seed=5)
+               for a in (1.0, 0.6, 0.0)]
+        return [c for pair in zip(low, hot) for c in pair]
+
+    def chunks(self, cfg):
+        """_fault_streams calls of one config run alone."""
+        law = accepted_distribution(default_circuit(), cfg.noise).syndrome_law
+        p_gate = parity_flip_prob(cfg.noise.eps_g, cfg.m)
+        total = 0
+        for b in range(-(-cfg.shots // BATCH_SHOTS)):
+            n = faultsim._batch_extent(cfg, b)
+            total += -(-cfg.blocks // faultsim._chunk_blocks(cfg, n, p_gate, law))
+        return total
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_each_config_gets_its_count_alone(self, threads):
+        cfgs = self.configs()
+        assert [len(g) for g in faultsim._groups(cfgs)] == [3, 3]
+        alone = [estimate_many([cfg])[0] for cfg in cfgs]
+        assert estimate_many(cfgs, threads=threads) == alone
+        # a group shares its draws, not its walks: every row reads its own
+        assert len({est.failures for est in alone}) == len(cfgs)
+
+    def test_one_draw_per_chunk_per_group(self, monkeypatch):
+        calls = []
+        draw = faultsim._fault_streams
+
+        def counting(*args):
+            calls.append(args[1])
+            return draw(*args)
+        monkeypatch.setattr(faultsim, "_fault_streams", counting)
+        cfgs = self.configs()
+        low, hot = cfgs[0], cfgs[1]
+        assert self.chunks(low) == 2 and self.chunks(hot) > 2
+        estimate_many(cfgs, threads=1)
+        assert len(calls) == self.chunks(low) + self.chunks(hot)
+
+
 class TestHighRates:
     def test_batch_memory_does_not_grow_with_blocks_or_rate(self):
         # the top of every rate range, ~7 faults per shot-block: all the
@@ -345,7 +399,7 @@ class TestHighRates:
         syn_probs = accepted_distribution(default_circuit(), cfg.noise).syndrome_law
         tracemalloc.start()
         try:
-            _simulate_batch(cfg, 0, syn_probs)
+            _simulate_batch((cfg,), 0, syn_probs)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

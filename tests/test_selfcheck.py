@@ -3,8 +3,8 @@ from dataclasses import replace
 
 import pytest
 
-from qec_cadence import exact, model, selfcheck
-from qec_cadence.faultsim import estimate_many
+from qec_cadence import exact, faultsim, model, selfcheck
+from qec_cadence.faultsim import PlEstimate, estimate_many
 from qec_cadence.selfcheck import CheckResult, run_self_checks
 
 
@@ -48,6 +48,20 @@ def test_sampler_vs_exact_rejects_a_faulty_sampler(monkeypatch, fault):
     SAMPLER_FAULTS[fault](monkeypatch)
     result = selfcheck._check_sampler_vs_exact()
     assert not result.passed, result.detail
+
+
+def test_sampler_configs_draw_independently(monkeypatch):
+    # the chi-square adds the four z-scores as independent, and configs
+    # that differ in eps_a alone would share their draws
+    seen = []
+
+    def capture(cfgs, **kwargs):
+        seen.extend(cfgs)
+        return [PlEstimate.from_counts(0, cfg.shots) for cfg in cfgs]
+    monkeypatch.setattr(selfcheck, "estimate_many", capture)
+    selfcheck._check_sampler_vs_exact()
+    assert len(seen) == len(selfcheck.SAMPLER_CONFIGS) == 4
+    assert [len(g) for g in faultsim._groups(seen)] == [1, 1, 1, 1]
 
 
 def test_exact_lumping_rejects_a_round_that_breaks_the_symmetry(monkeypatch):
