@@ -7,33 +7,17 @@ verification qubit (CNOTs fan in, Z measurement, accept on 0).  The CNOT
 order is arranged so that every dangerous single-fault outcome overlaps that
 check an odd number of times.  Explicit wait ops mark the idle slots of the
 fixed schedule; they flip at NoiseParams.wait_flip, which wait_scale = 0
-turns off.
-
-Schedule (1-based qubits, V = verification qubit):
-
-  step 0  prep |0>: 1,2,4,V   prep |+>: 3,5,6,7
-  step 1  CX 3->1   CX 6->2   CX 7->4      wait 5,V
-  step 2  CX 3->2   CX 5->1   CX 6->4      wait 7,V
-  step 3  CX 7->1   CX 5->4                wait 2,3,6,V
-  step 4  CX 7->2   CX 1->V                wait 3,4,5,6
-  step 5  CX 2->V                          wait 1,3,4,5,6,7
-  step 6  CX 5->V                          wait 1,2,3,4,6,7
-  step 7  CX 6->V                          wait 1,2,3,4,5,7
-  step 8  measure V (Z)                    wait 1..7
+turns off.  SCHEDULE below is the circuit, one line per step.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
 from .noise import NoiseParams, xor_flip_prob
 from .steane import SYNDROME, WEIGHT
-
-
-class RetryLimitError(RuntimeError):
-    """Ancilla verification never accepts; the run cannot proceed."""
 
 
 @dataclass(frozen=True)
@@ -143,63 +127,37 @@ class FaultMasks:
         )
 
 
+# The default preparation, one line per step in README's notation: qubits
+# are 1-based with 8 the verifier; P0/P+ prepare |0>/|+>, CX(a->b) is a
+# CNOT from a to b, W an idle slot and MZ a Z measurement.
+SCHEDULE = (
+    "P0(1) P0(2) P0(4) P+(3) P+(5) P+(6) P+(7) P0(8)",
+    "CX(3->1) CX(6->2) CX(7->4) W(5) W(8)",
+    "CX(3->2) CX(5->1) CX(6->4) W(7) W(8)",
+    "CX(7->1) CX(5->4) W(2) W(3) W(6) W(8)",
+    "CX(7->2) CX(1->8) W(3) W(4) W(5) W(6)",
+    "CX(2->8) W(1) W(3) W(4) W(5) W(6) W(7)",
+    "CX(5->8) W(1) W(2) W(3) W(4) W(6) W(7)",
+    "CX(6->8) W(1) W(2) W(3) W(4) W(5) W(7)",
+    "MZ(8) W(1) W(2) W(3) W(4) W(5) W(6) W(7)",
+)
+_KINDS = {"P0": "prep_zero", "P+": "prep_plus", "W": "wait", "CX": "cx",
+          "MZ": "measure"}
+
+
 def build_verified_plus_circuit() -> AncillaCircuit:
-    """The documented default preparation circuit (see module docstring)."""
-    v = 7
-    ops: list[Op] = []
-
-    def add(kind, qubits, step):
-        ops.append(Op(kind, tuple(q - 1 if q != "V" else v for q in qubits), step))
-
-    # step 0: preparations (V is index 7, passed via sentinel)
-    for q in (1, 2, 4):
-        add("prep_zero", (q,), 0)
-    for q in (3, 5, 6, 7):
-        add("prep_plus", (q,), 0)
-    ops.append(Op("prep_zero", (v,), 0))
-    # encoding cascade
-    add("cx", (3, 1), 1)
-    add("cx", (6, 2), 1)
-    add("cx", (7, 4), 1)
-    add("wait", (5,), 1)
-    ops.append(Op("wait", (v,), 1))
-    add("cx", (3, 2), 2)
-    add("cx", (5, 1), 2)
-    add("cx", (6, 4), 2)
-    add("wait", (7,), 2)
-    ops.append(Op("wait", (v,), 2))
-    add("cx", (7, 1), 3)
-    add("cx", (5, 4), 3)
-    for q in (2, 3, 6):
-        add("wait", (q,), 3)
-    ops.append(Op("wait", (v,), 3))
-    add("cx", (7, 2), 4)
-    ops.append(Op("cx", (0, v), 4))
-    for q in (3, 4, 5, 6):
-        add("wait", (q,), 4)
-    ops.append(Op("cx", (1, v), 5))
-    for q in (1, 3, 4, 5, 6, 7):
-        add("wait", (q,), 5)
-    ops.append(Op("cx", (4, v), 6))
-    for q in (1, 2, 3, 4, 6, 7):
-        add("wait", (q,), 6)
-    ops.append(Op("cx", (5, v), 7))
-    for q in (1, 2, 3, 4, 5, 7):
-        add("wait", (q,), 7)
-    ops.append(Op("measure", (v,), 8))
-    for q in (1, 2, 3, 4, 5, 6, 7):
-        add("wait", (q,), 8)
-    return AncillaCircuit(ops=tuple(ops), n_qubits=8)
+    """The documented default preparation circuit, built from SCHEDULE."""
+    ops = tuple(
+        Op(_KINDS[name], tuple(int(q) - 1 for q in qubits[:-1].split("->")), step)
+        for step, line in enumerate(SCHEDULE)
+        for name, qubits in (token.split("(") for token in line.split())
+    )
+    return AncillaCircuit(ops=ops, n_qubits=8)
 
 
-_DEFAULT_CIRCUIT: AncillaCircuit | None = None
-
-
+@cache
 def default_circuit() -> AncillaCircuit:
-    global _DEFAULT_CIRCUIT
-    if _DEFAULT_CIRCUIT is None:
-        _DEFAULT_CIRCUIT = build_verified_plus_circuit()
-    return _DEFAULT_CIRCUIT
+    return build_verified_plus_circuit()
 
 
 def _op_flip_prob(kind: str, noise: NoiseParams) -> float:
@@ -228,7 +186,10 @@ def accepted_distribution(
     on {0, a, b, a ^ b} with probability cnot_flip on each non-zero mask.
     Every step is a sum of non-negative terms.  This is the law of a
     hardware loop that retries until verification accepts, and the batch
-    sampler draws each round's ancilla from it.
+    sampler draws each round's ancilla from it.  With one verification
+    qubit, as in the default circuit, p_accept = (1 + prod(1 - 2 q_j)) / 2
+    over each channel's chance q_j of flipping it; every q_j is at most
+    2/3 at any valid NoiseParams, so p_accept >= 1/3 and the retries end.
     """
     faults = circuit.fault_masks
     rate = {kind: _op_flip_prob(kind, noise) for kind in faults.kinds}
@@ -247,8 +208,6 @@ def accepted_distribution(
             dist = law @ dist[rows]
     kept = dist[faults.accepted]
     p_accept = float(kept.sum())
-    if p_accept <= 0.0:
-        raise RetryLimitError("verification accepts with probability 0")
     probs = np.bincount(faults.block, weights=kept, minlength=128) / p_accept
     return AcceptedDistribution(
         probs=probs, p_accept=p_accept,

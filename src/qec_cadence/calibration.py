@@ -240,19 +240,17 @@ def calibrate(
         )
     slope_sd, sd_ci = _slope_and_ci(points, "rate_two", divisor)
     slope_co, co_ci = _slope_and_ci(points, "rate_one", divisor)
+    # each coefficient is its slope less its CNOT share, clamped at 0
     clamp_notes = []
-    eps_s_coeff = slope_sd - EPS_D_COEFF
-    if eps_s_coeff < 0.0:
-        clamp_notes.append(
-            f"eps_s coefficient {eps_s_coeff:.4f} clamped to 0"
-        )
-        eps_s_coeff = 0.0
-    eps_o_coeff = slope_co - EPS_C_COEFF
-    if eps_o_coeff < 0.0:
-        clamp_notes.append(
-            f"eps_o coefficient {eps_o_coeff:.4f} clamped to 0"
-        )
-        eps_o_coeff = 0.0
+    coeffs = []
+    for name, slope, share in (("eps_s", slope_sd, EPS_D_COEFF),
+                               ("eps_o", slope_co, EPS_C_COEFF)):
+        coeff = slope - share
+        if coeff < 0.0:
+            clamp_notes.append(f"{name} coefficient {coeff:.4f} clamped to 0")
+            coeff = 0.0
+        coeffs.append(coeff)
+    eps_s_coeff, eps_o_coeff = coeffs
     for note in clamp_notes:
         warnings.warn(note, RuntimeWarning, stacklevel=2)
     return CalibrationResult(

@@ -84,15 +84,10 @@ from .model import Schedule, as_count, as_rate
 from .noise import NoiseParams, parity_flip_prob
 from .steane import DECODE, RESIDUAL_LOGICAL, SYNDROME
 
-RETRY_CAP = 1000
 # Shots per batch: a batch is the unit of seeding and of parallel work.
 BATCH_SHOTS = 16384
 # Expected faults per chunk of blocks: bounds the event arrays at any rate.
 CHUNK_EVENTS = 1 << 16
-
-
-class SimulationAbort(RuntimeError):
-    """The simulation cannot produce valid samples with this configuration."""
 
 
 def derive_seed(master_seed: int, index: int) -> int:
@@ -376,26 +371,6 @@ def _simulate_batch(
     return np.count_nonzero(RESIDUAL_LOGICAL[data], axis=1).tolist()
 
 
-def _check_retry_feasibility(cfg: TrajectoryConfig, p_accept: float) -> None:
-    """Refuse configs whose ancilla retries would run out.
-
-    A round's hardware retries a rejected ancilla at most RETRY_CAP times
-    and aborts the run after that.  The batch kernel draws accepted
-    ancillas directly and would never notice, so a config is runnable only
-    if any of its performed rounds exhausts the cap with probability below
-    1e-9.
-    """
-    performed = cfg.shots * cfg.blocks * (1.0 - cfg.eps_a)
-    if performed <= 0:
-        return
-    log_reject = RETRY_CAP * math.log1p(-p_accept) if p_accept < 1.0 else -math.inf
-    if log_reject + math.log(max(performed, 1.0)) > math.log(1e-9):
-        raise SimulationAbort(
-            f"ancilla acceptance probability {p_accept:.3g} is too low for "
-            f"the retry cap of {RETRY_CAP}; reduce eps"
-        )
-
-
 def _groups(cfgs: list) -> list[list[int]]:
     """Indices of the configs that differ in eps_a alone, grouped.
 
@@ -413,22 +388,21 @@ def _groups(cfgs: list) -> list[list[int]]:
 def estimate_many(cfgs, threads: int = 1) -> list[PlEstimate]:
     """Logical error estimates of several configs, one per config.
 
-    Every config is checked before any sampling starts.  Configs that
-    differ in eps_a alone share each batch's draw (_groups): their
-    estimates are common-random-number estimates, each exact-marginal but
-    none independent of the others, so a caller that treats estimates as
-    independent must give them distinct master seeds.  Each count is
-    exactly the one the config gets alone.  With threads > 1 and more than
-    one (group, batch) task, the tasks run on one process pool; the result
-    is bit-identical at any `threads` value, since each batch's seed
-    depends on its config and index alone.  The ancillas come from
-    default_circuit().
+    A config listed more than once is run once and its estimate repeated.
+    Configs that differ in eps_a alone share each batch's draw (_groups):
+    their estimates are common-random-number estimates, each
+    exact-marginal but none independent of the others, so a caller that
+    treats estimates as independent must give them distinct master seeds.
+    Each count is exactly the one the config gets alone.  With threads > 1
+    and more than one (group, batch) task, the tasks run on one process
+    pool; the result is bit-identical at any `threads` value, since each
+    batch's seed depends on its config and index alone.  The ancillas come
+    from default_circuit().
     """
-    cfgs = list(cfgs)
+    given = list(cfgs)
+    cfgs = list(dict.fromkeys(given))
     accepted = {noise: accepted_distribution(default_circuit(), noise)
                 for noise in {cfg.noise for cfg in cfgs}}
-    for cfg in cfgs:
-        _check_retry_feasibility(cfg, accepted[cfg.noise].p_accept)
     tasks = [(members, b) for members in _groups(cfgs)
              for b in range(-(-cfgs[members[0]].shots // BATCH_SHOTS))]
     args = (
@@ -447,4 +421,6 @@ def estimate_many(cfgs, threads: int = 1) -> list[PlEstimate]:
     for (members, _), group_counts in zip(tasks, counts):
         for i, count in zip(members, group_counts):
             failures[i] += count
-    return [PlEstimate.from_counts(f, cfg.shots) for f, cfg in zip(failures, cfgs)]
+    estimates = {cfg: PlEstimate.from_counts(f, cfg.shots)
+                 for f, cfg in zip(failures, cfgs)}
+    return [estimates[cfg] for cfg in given]

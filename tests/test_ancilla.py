@@ -6,6 +6,9 @@ would silently break the second-order model.  The default schedule must
 audit clean, and removing its verification gates must make the audit fire
 (proving the audit has teeth, not just that the circuit is lucky).
 """
+import itertools
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -143,6 +146,24 @@ class TestScheduleShape:
         assert default_circuit() is default_circuit()
         assert build_verified_plus_circuit() == default_circuit()
 
+    def test_readme_schedule_is_the_circuit(self):
+        # render the built ops in README's notation, independently of the
+        # table they were parsed from, and hold README's copy to them
+        names = {"prep_zero": "P0", "prep_plus": "P+", "wait": "W",
+                 "cx": "CX", "measure": "MZ"}
+        c = default_circuit()
+        rendered = [
+            f"step {step}: " + " ".join(
+                f"{names[op.kind]}({'->'.join(str(q + 1) for q in op.qubits)})"
+                for op in c.ops if op.step == step)
+            for step in range(9)
+        ]
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+            encoding="utf-8")
+        section = readme.split("### Ancilla schedule", 1)[1]
+        block = section.split("```", 2)[1].strip().splitlines()
+        assert block == rendered
+
 
 class TestCircuitValidation:
     def test_rejects_out_of_range_qubit(self):
@@ -184,6 +205,18 @@ class TestNoiselessBehavior:
 
 
 class TestExactDistribution:
+    @pytest.mark.parametrize("eps", [0.0, 1e-3, 0.3, 2 / 3, 1.0])
+    def test_acceptance_is_at_least_a_third(self, eps):
+        # P(accept) = (1 + prod(1 - 2 q_j)) / 2 over the channels that can
+        # flip the verifier, and every factor lies in [-1/3, 1]: one-qubit
+        # rates stay <= 2/3 and a CNOT flips the verifier w.p. <= 8/15
+        for p_meas, wait_scale, init in itertools.product(
+                [None, 0.0, 0.25, 0.5], [0.0, 0.5, 1.0], [True, False]):
+            noise = NoiseParams(eps=eps, p_meas=p_meas, wait_scale=wait_scale,
+                                include_init_error=init)
+            p_accept = accepted_distribution(default_circuit(), noise).p_accept
+            assert p_accept >= 1 / 3, noise
+
     def test_normalized_and_nonnegative(self):
         dist = accepted_distribution(default_circuit(), NoiseParams(eps=0.01))
         assert dist.probs.sum() == pytest.approx(1.0, rel=1e-12)

@@ -28,7 +28,6 @@ from qec_cadence.cli import (
     rates_at,
     resolve_seed,
 )
-from qec_cadence.faultsim import SimulationAbort
 from qec_cadence.model import AbstractRates, Schedule, approx_coefficients, m_min
 from qec_cadence.selfcheck import CheckResult
 
@@ -587,14 +586,6 @@ class TestExitCodes:
     def test_missing_config_flag_is_a_config_error(self, capsys):
         assert main(["sweep"]) == 3
         assert "requires --config" in capsys.readouterr().err
-
-    def test_simulation_abort_exits_2(self, tmp_path, monkeypatch):
-        def boom(*args, **kwargs):
-            raise SimulationAbort("injected")
-        monkeypatch.setattr(cli, "estimate_many", boom)
-        cfg_path = write_config(tmp_path, TINY_SWEEP)
-        assert main(["sweep", "--config", cfg_path,
-                     "--out", str(tmp_path / "x.csv")]) == 2
 
     def test_bad_threads_value(self, tmp_path):
         cfg_path = write_config(tmp_path, TINY_SWEEP)

@@ -23,9 +23,7 @@ from qec_cadence.exact import (
 from qec_cadence.faultsim import (
     BATCH_SHOTS,
     PlEstimate,
-    SimulationAbort,
     TrajectoryConfig,
-    _check_retry_feasibility,
     _event_positions,
     _simulate_batch,
     estimate_many,
@@ -386,6 +384,20 @@ class TestSharedDraws:
         estimate_many(cfgs, threads=1)
         assert len(calls) == self.chunks(low) + self.chunks(hot)
 
+    def test_a_repeated_config_is_walked_once(self, monkeypatch):
+        walked = []
+        simulate = faultsim._simulate_batch
+
+        def recording(group, *args):
+            walked.append([cfg.eps_a for cfg in group])
+            return simulate(group, *args)
+        monkeypatch.setattr(faultsim, "_simulate_batch", recording)
+        low = self.configs()[0]
+        other = make_cfg(eps_a=0.7, shots=low.shots, master_seed=77)
+        estimates = estimate_many([low, other, low], threads=1)
+        assert walked == [[low.eps_a, 0.7]] * 2  # one group, two batches
+        assert estimates[0] == estimates[2] == estimate_many([low])[0]
+
 
 class TestHighRates:
     def test_batch_memory_does_not_grow_with_blocks_or_rate(self):
@@ -446,19 +458,3 @@ class TestStreamPin:
             (90, 19), (98, 23), (83, 28), (78, 39), (91, 24), (78, 17),
             (103, 20),
         ]
-
-
-class TestRetryGuard:
-    def test_low_acceptance_aborts(self):
-        cfg = make_cfg(shots=100_000)
-        with pytest.raises(SimulationAbort):
-            _check_retry_feasibility(cfg, p_accept=1e-3)
-
-    def test_normal_acceptance_passes(self):
-        cfg = make_cfg(shots=100_000)
-        _check_retry_feasibility(cfg, p_accept=0.5)
-        _check_retry_feasibility(cfg, p_accept=1.0)
-
-    def test_all_skip_never_aborts(self):
-        cfg = make_cfg(eps_a=1.0, shots=100_000)
-        _check_retry_feasibility(cfg, p_accept=1e-6)
