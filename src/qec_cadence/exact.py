@@ -32,7 +32,7 @@ import numpy as np
 from .ancilla import AncillaCircuit, accepted_distribution, default_circuit
 from .model import Schedule, as_rate
 from .noise import NoiseParams, parity_flip_prob
-from .steane import DECODE, N_PATTERNS, RESIDUAL_LOGICAL, SYNDROME, WEIGHT
+from .steane import CLASS, DECODE, N_PATTERNS, RESIDUAL_LOGICAL, SYNDROME, WEIGHT
 
 _IDX = np.arange(N_PATTERNS)
 _SYN = np.arange(8)
@@ -51,14 +51,11 @@ _COUPLING = _COUPLING.reshape(8, -1)
 _RESPONSE_TERMS = (
     (_IDX ^ DECODE[_SYN[:, None, None] ^ _SYN[:, None]]) * 8 + _SYN[:, None]
 )
-# Class of a pattern: its syndrome and weight parity.  The map is linear with
-# the X-stabilizers as kernel, and the verdict is constant on each class.
-_CLASS = SYNDROME | (WEIGHT & 1) << 3
-_ONEHOT = (_CLASS[:, None] == np.arange(16)).astype(float)
+_ONEHOT = (CLASS[:, None] == np.arange(16)).astype(float)
 _LOGICAL = _ONEHOT[RESIDUAL_LOGICAL].any(axis=0)
 # _GATE_CLASSES[w, c]: patterns of weight w in class c
 _GATE_CLASSES = np.zeros((8, 16))
-np.add.at(_GATE_CLASSES, (WEIGHT, _CLASS), 1.0)
+np.add.at(_GATE_CLASSES, (WEIGHT, CLASS), 1.0)
 _XOR16 = _XOR[:16, :16]
 
 

@@ -29,15 +29,17 @@ block.  Per chunk the draw order is:
      Row 0 is for the gap before the event, row 1 for the skip of its
      own round.
 
-One stable sort merges the four presorted streams and one XOR reduction
-merges each round's faults, packed in one word (DATA_SHIFT,
-MEASURED_SHIFT).  A round reads its measured ancilla only through the
-syndrome, which is linear, so the ancilla is drawn on its syndrome: each
-round, at the accepted law's mass of syndromes s != 0, gets the weight-1
-stand-in DECODE[s].  Every round output keeps the law of the full
-accepted pattern, and an accepted ancilla of syndrome 0, which never
-changes a round, is never drawn.  sample_round_faults, which the
-calibration micro-sims use, is the same draw without gate flips.
+Each fault's pattern is packed in one word (DATA_SHIFT, MEASURED_SHIFT),
+and its round and word in one int64, the round above WORD_BITS, so one
+sort of those integers brings each round's faults together and one XOR
+reduction merges them; XOR does not depend on their order.  A round
+reads its measured ancilla only through the syndrome, which is linear,
+so the ancilla is drawn on its syndrome: each round, at the accepted
+law's mass of syndromes s != 0, gets the weight-1 stand-in DECODE[s].
+Every round output keeps the law of the full accepted pattern, and an
+accepted ancilla of syndrome 0, which never changes a round, is never
+drawn.  sample_round_faults, which the calibration micro-sims use, is
+the same draw without gate flips.
 
 Skip rule.  Every round is skipped with probability eps_a, independently
 of its faults, and draws its skip once.  A skipped round leaves the data
@@ -53,11 +55,30 @@ k = 1, 2, ...  After a shot's last event nothing is
 drawn: a correction never changes the logical verdict.  Work scales with
 faults, not with shots x blocks.
 
+Class lanes.  The walk holds no pattern, only each shot's class
+c = (s, p), its syndrome s and weight parity p (steane.CLASS).  The class
+map is linear with the X-stabilizers as kernel, and every step acts on
+the class alone: gate flips XOR their class into c; a fault-free round
+takes (s, p) to (0, p ^ [s != 0]); a performed round with faults
+(on_data, on_measured), ms = SYNDROME[on_measured], takes it to
+(SYNDROME[on_data] ^ ms, p ^ parity(on_data) ^ [s != ms]); and the
+verdict RESIDUAL_LOGICAL is p ^ [s != 0].  So the class walk gives each
+shot the verdict the 7-bit walk gives, from the same draws.  The merged
+words become classes after the merge, which is exact, since the class of
+an XOR is the XOR of the classes; sample_round_faults keeps the
+patterns.  A class takes 4 bits, so one uint16 per shot holds the
+classes of up to LANES configs, one lane each, and a table of each
+lane's correction class (s, [s != 0]) updates all lanes at once:
+c ^= corr[c] & fix, c ^= flip, c ^= (corr[c ^ ms] ^ data) & perform, with
+fix and perform the per-event masks of the lanes whose config fixes the
+gap or performs the round.
+
 Shared draws.  Nothing above reads eps_a but the walk: the faults, the
 uniforms and the chunk layout are the same for configs that differ in
 eps_a alone.  So a batch runs such a group at once (_groups): each chunk
-is drawn, merged and ordered once, and each config compares the shared
-uniforms with its own eps_a and walks its own data.  Every config gets
+is drawn, merged and ordered once, each config compares the shared
+uniforms with its own eps_a, and one walk carries the group's classes,
+one lane word per LANES configs.  Every config gets
 exactly the count it gets alone, and a group's estimates are
 common-random-number estimates: each exact-marginal, none independent of
 the others.  Callers that need independent estimates give the configs
@@ -75,6 +96,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -82,7 +104,7 @@ import numpy as np
 from .ancilla import accepted_distribution, default_circuit
 from .model import Schedule, as_count, as_rate
 from .noise import NoiseParams, parity_flip_prob
-from .steane import DECODE, RESIDUAL_LOGICAL, SYNDROME
+from .steane import CLASS, DECODE, SYNDROME
 
 # Shots per batch: a batch is the unit of seeding and of parallel work.
 BATCH_SHOTS = 16384
@@ -167,19 +189,24 @@ def round_output(data, on_data, on_measured):
     return data ^ on_data ^ DECODE[SYNDROME[data ^ on_measured]]
 
 
-# Output of a fault-free round for each input pattern.
-_CORRECTED = round_output(np.arange(128, dtype=np.uint8), 0, 0)
-
 # A round's faults packed in one uint32 word: the gate flips before it in
 # bits 0-6, on_data in bits 8-14, on_measured in bits 16-22.  XOR acts on
 # each field alone, so merging packed words is exact.
 DATA_SHIFT = 8
 MEASURED_SHIFT = 16
-# Packed word of a CNOT X-class on qubit 0: data only, copy only, both.
-_CNOT_CLASS_WORD = np.array(
-    [1 << DATA_SHIFT, 1 << MEASURED_SHIFT, 1 << DATA_SHIFT | 1 << MEASURED_SHIFT],
-    dtype=np.uint32,
-)
+WORD_BITS = MEASURED_SHIFT + 7
+# Packed word of each fault by qubit: a gate flip, a readout flip, an
+# ancilla stand-in DECODE[s] by syndrome s, and a CNOT X-class (data only,
+# copy only, both) at index 7 * class + qubit.  These tables and the lane
+# tables below are built from Python ints, so that importing the module
+# runs no numpy kernel the process would not run anyway.
+_GATE_WORDS = np.array([1 << q for q in range(7)], dtype=np.uint32)
+_MEAS_WORDS = np.array([1 << MEASURED_SHIFT + q for q in range(7)], dtype=np.uint32)
+_ANCILLA_WORDS = np.array([int(d) << MEASURED_SHIFT for d in DECODE], dtype=np.uint32)
+_CNOT_WORDS = np.array(
+    [w << q for w in (1 << DATA_SHIFT, 1 << MEASURED_SHIFT,
+                      1 << DATA_SHIFT | 1 << MEASURED_SHIFT) for q in range(7)],
+    dtype=np.uint32)
 
 
 def _event_positions(rng: np.random.Generator, length: int, p: float) -> np.ndarray:
@@ -198,19 +225,20 @@ def _event_positions(rng: np.random.Generator, length: int, p: float) -> np.ndar
     size = int(mean + 4.0 * math.sqrt(mean)) + 16
     scale = -1.0 / math.log1p(-p) if p < 1.0 else 0.0
 
-    def gaps():
-        e = np.minimum(rng.standard_exponential(size) * scale, length)
-        return e.astype(np.int64) + 1
+    def run(offset):
+        """Positions of `size` fresh gaps after `offset`, computed in place."""
+        e = rng.standard_exponential(size)
+        e *= scale
+        np.minimum(e, length, out=e)
+        gap = e.astype(np.int64)
+        gap += 1
+        gap[0] += offset
+        return np.cumsum(gap, out=gap)
 
-    pos = np.cumsum(gaps()) - 1
+    pos = run(-1)
     while pos[-1] < length:
-        pos = np.concatenate((pos, pos[-1] + np.cumsum(gaps())))
+        pos = np.concatenate((pos, run(pos[-1])))
     return pos[: np.searchsorted(pos, length)]
-
-
-def _qubit_words(positions: np.ndarray, shift: int) -> np.ndarray:
-    """Packed word of each (round, qubit) position: qubit q on bit shift + q."""
-    return np.left_shift(np.uint32(1), (positions % 7 + shift).astype(np.uint32))
 
 
 def _run_starts(keys: np.ndarray) -> np.ndarray:
@@ -234,8 +262,11 @@ def _fault_streams(rng: np.random.Generator, rounds: int, p_gate: float,
     A round reads its measured side only through the syndrome, which is
     linear, so an ancilla enters as the weight-1 DECODE[s]: every round
     output has the law of the full accepted pattern, and an ancilla of
-    syndrome 0 is never drawn.
+    syndrome 0 is never drawn.  _merge_rounds packs a round index above
+    a word's WORD_BITS in an int64, so a draw covers under 2**40 rounds.
     """
+    if rounds >> 63 - WORD_BITS:
+        raise ValueError(f"a draw covers under 2**{63 - WORD_BITS} rounds, got {rounds}")
     gates = _event_positions(rng, 7 * rounds, p_gate)
     nonzero = np.cumsum(syn_probs[1:])
     anc = _event_positions(rng, rounds, float(nonzero[-1]))
@@ -247,14 +278,13 @@ def _fault_streams(rng: np.random.Generator, rounds: int, p_gate: float,
         anc_syndrome += pick >= edge
     cx = _event_positions(rng, 7 * rounds, 3.0 * noise.cnot_flip)
     cx_class = rng.integers(0, 3, cx.size)
-    cx_word = _CNOT_CLASS_WORD[cx_class] << (cx % 7).astype(np.uint32)
     meas = _event_positions(rng, 7 * rounds, noise.meas_flip)
     key = np.concatenate((gates // 7, anc, cx // 7, meas // 7))
     word = np.concatenate((
-        _qubit_words(gates, 0),
-        DECODE[anc_syndrome].astype(np.uint32) << MEASURED_SHIFT,
-        cx_word,
-        _qubit_words(meas, MEASURED_SHIFT),
+        _GATE_WORDS.take(gates % 7),
+        _ANCILLA_WORDS.take(anc_syndrome),
+        _CNOT_WORDS.take(cx_class * 7 + cx % 7),
+        _MEAS_WORDS.take(meas % 7),
     ))
     return key, word
 
@@ -262,15 +292,21 @@ def _fault_streams(rng: np.random.Generator, rounds: int, p_gate: float,
 def _merge_rounds(key: np.ndarray, word: np.ndarray) -> tuple:
     """One entry per round: the strictly increasing keys, XOR of their words.
 
-    The streams come in as presorted runs, which a stable sort merges in
-    one pass; a round's packed words merge in one XOR reduction.
+    Each fault's round and word are packed in one int64, key above the
+    word's WORD_BITS, and one sort of those integers brings every round's
+    faults together; one XOR reduction then merges them.  XOR does not
+    depend on order, so the words of a round may come in any order.
     """
     if not key.size:
         return key, word
-    order = np.argsort(key, kind="stable")
-    key = key[order]
+    packed = key << WORD_BITS
+    packed |= word
+    packed.sort()
+    key = packed >> WORD_BITS
     starts = _run_starts(key)
-    return key[starts], np.bitwise_xor.reduceat(word[order], starts)
+    merged = np.bitwise_xor.reduceat(packed, starts)
+    merged &= (1 << WORD_BITS) - 1
+    return key[starts], merged.astype(np.uint32)
 
 
 def _field(word: np.ndarray, shift: int) -> np.ndarray:
@@ -306,14 +342,39 @@ def _chunk_blocks(cfg: TrajectoryConfig, shots: int, p_gate: float,
     return int(min(cfg.blocks, max(1.0, fit)))
 
 
+# The walk's state: per shot, the data classes (steane.CLASS) of up to
+# LANES configs in one uint16, config i of a word in bits 4i to 4i + 3.
+LANES = 4
+# A pattern's class, and its syndrome, copied into every lane.
+_CLASS_LANES = np.array([0x1111 * int(c) for c in CLASS], dtype=np.uint16)
+_SYNDROME_LANES = np.array([0x1111 * int(s) for s in SYNDROME], dtype=np.uint16)
+
+
+@cache
+def _lane_correction() -> np.ndarray:
+    """Per lane of every uint16 word, the class (s, [s != 0]) of the
+    correction DECODE[s] a round applies for the lane's syndrome s.
+
+    c ^ table[c] is what a fault-free round makes of each lane's class,
+    (0, p ^ [s != 0]), and its parity bit is the lane's logical verdict.
+    s + 7 carries into bit 3 iff s != 0.  Built on first use: a process
+    that only hands batches to a pool never holds its 128 KB.  Read-only,
+    since every caller shares it.
+    """
+    s = np.arange(1 << 16, dtype=np.uint16) & 0x7777
+    table = s | (s + 0x7777) & 0x8888
+    table.setflags(write=False)
+    return table
+
+
 def _simulate_batch(
     group: tuple, batch_index: int, syn_probs: np.ndarray
 ) -> list[int]:
     """Failure counts of one batch, one per config of the group.
 
     The group's configs differ in eps_a alone (_groups): per chunk the
-    draw, the merge, the bookkeeping and the rank order come once, and
-    each config walks its own data with its own skips and gap fixes.  Pure
+    draw, the merge, the bookkeeping and the rank order come once, and one
+    walk updates every config's data class at once, one lane each.  Pure
     function of its arguments; syn_probs is the accepted ancilla's
     syndrome law.
     """
@@ -327,7 +388,9 @@ def _simulate_batch(
     eps_a = [c.eps_a for c in group]
     # a dirty shot stays uncorrected through j fault-free rounds w.p. eps_a**j
     stay = np.array(eps_a, dtype=float)[:, None] ** np.arange(cfg.blocks + 1)
-    data = np.zeros((len(group), n), dtype=np.uint8)  # one row per config
+    lane = [np.uint16(0xF << 4 * (i % LANES)) for i in range(len(group))]
+    correction = _lane_correction()
+    state = np.zeros((-(-len(group) // LANES), n), dtype=np.uint16)
     settled = np.full(n, -1, dtype=np.int64)  # block of each shot's last event
     for first in range(0, cfg.blocks, chunk):
         blocks = min(chunk, cfg.blocks - first)
@@ -336,39 +399,58 @@ def _simulate_batch(
             *_fault_streams(rng, blocks * n, p_gate, cfg.noise, syn_probs))
         if not key.size:
             continue
-        shot, block = np.divmod(key, blocks)
+        shot = key // blocks
         start = _run_starts(shot)  # a shot's first event
+        owner = shot[start]
+        del shot
         count = np.diff(start, append=key.size)
-        end = start + count - 1
-        gap = np.diff(block, prepend=0) - 1
-        gap[start] = first + block[start] - settled[shot[start]] - 1
-        settled[shot[end]] = first + block[end]
-        u = rng.random((2, key.size))
+        # fault-free rounds before each event: the step from the shot's
+        # previous event, or from its carried last block at its first event
+        gap = np.empty_like(key)
+        np.subtract(key[1:], key[:-1], out=gap[1:])
+        gap -= 1
+        block = key[start] - owner * blocks
+        block += first
+        gap[start] = block - settled[owner] - 1
+        settled[owner] = block + key[start + count - 1] - key[start]
+        u_fix, u_perform = rng.random((2, key.size))
+        # each word's fix and perform decisions, as masks of its lanes' bits
+        fix = np.zeros((len(state), key.size), dtype=np.uint16)
+        perform = np.zeros_like(fix)
+        threshold, hit = np.empty(key.size), np.empty(key.size, dtype=bool)
+        for i, bits in enumerate(lane):
+            stay[i].take(gap, out=threshold, mode="clip")
+            fix[i // LANES] |= np.greater_equal(u_fix, threshold, out=hit) * bits
+            perform[i // LANES] |= np.greater_equal(u_perform, eps_a[i], out=hit) * bits
+        del gap, u_fix, u_perform
         # shots by falling event count, so the shots with a rank-th event
         # lead; ties in any order, since a rank's shots update independently
         by_count = np.argsort(-count)
-        start, count = start[by_count], count[by_count]
-        active = np.searchsorted(-count, -np.arange(count[0]), side="left")
+        start, count, owner = start[by_count], count[by_count], owner[by_count]
+        active = np.searchsorted(-count, -np.arange(count[0]), side="left").tolist()
         # events rank-major: a rank's events, each such shot's rank-th, are
-        # one slice of every array the configs read
+        # one slice of every array the walk reads
         order = np.concatenate([start[:k] + rank for rank, k in enumerate(active)])
-        bounds = np.cumsum(active).tolist()
-        owner, gap, word = shot[order], gap[order], word[order]
-        u_fix, u_perform = u[0][order], u[1][order]
-        flip = _field(word, 0)
-        on_data, on_measured = _field(word, DATA_SHIFT), _field(word, MEASURED_SHIFT)
-        for row, stay_row, skip in zip(data, stay, eps_a):
-            fix = u_fix >= stay_row[gap]
-            perform = u_perform >= skip
+        word = word.take(order)
+        flip = _CLASS_LANES.take(word & 0x7F)
+        on_data = _CLASS_LANES.take(word >> DATA_SHIFT & 0x7F)
+        on_measured = _SYNDROME_LANES.take(word >> MEASURED_SHIFT)
+        for row, row_fix, row_perform in zip(
+                state, fix.take(order, axis=1), perform.take(order, axis=1)):
             lo = 0
-            for hi in bounds:
-                s = owner[lo:hi]
-                d = row[s]
-                d = np.where(fix[lo:hi], _CORRECTED[d], d) ^ flip[lo:hi]
-                row[s] = np.where(perform[lo:hi], round_output(
-                    d, on_data[lo:hi], on_measured[lo:hi]), d)
+            for k in active:
+                hi = lo + k
+                s = owner[:k]
+                c = row.take(s)
+                c ^= correction.take(c) & row_fix[lo:hi]
+                c ^= flip[lo:hi]
+                c ^= (correction.take(c ^ on_measured[lo:hi]) ^ on_data[lo:hi]
+                      ) & row_perform[lo:hi]
+                row[s] = c
                 lo = hi
-    return np.count_nonzero(RESIDUAL_LOGICAL[data], axis=1).tolist()
+    verdict = state ^ correction.take(state)
+    return [int(np.count_nonzero(verdict[i // LANES] & 8 << 4 * (i % LANES)))
+            for i in range(len(group))]
 
 
 def _groups(cfgs: list) -> list[list[int]]:

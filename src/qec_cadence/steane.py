@@ -48,6 +48,11 @@ SYNDROME = _syndrome_table()
 DECODE = np.array([0] + [1 << (s - 1) for s in range(1, 8)], dtype=np.uint8)
 # Logical verdict of the post-correction residual for every input pattern.
 RESIDUAL_LOGICAL = ((WEIGHT[np.arange(N_PATTERNS) ^ DECODE[SYNDROME]] & 1) == 1)
+# Class of a pattern: its syndrome in bits 0-2 and its weight parity in bit 3.
+# The map is linear with the X-stabilizers as kernel, and the verdict is
+# constant on each class: it is the parity bit of the class after one ideal
+# correction, p ^ [s != 0].
+CLASS = SYNDROME | (WEIGHT & 1) << 3
 
 # Syndrome-0 patterns (the classical Hamming codewords); the even-weight ones
 # form the X-stabilizer group, the odd-weight ones are the logical-X coset.

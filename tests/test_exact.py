@@ -199,7 +199,7 @@ class TestTransferStructure:
         # the 16-class chain logical_error_exact runs is exact: classes are
         # the cosets of the X-stabilizers, the verdict is a class function,
         # and every pattern of a class moves to each class with one law
-        cls = exact._CLASS
+        cls = steane.CLASS
         idx = np.arange(128)
         for x in range(128):
             assert np.array_equal(cls[idx ^ x], cls ^ cls[x]), x

@@ -250,6 +250,13 @@ class TestFaultStreams:
         # the density makes the merge matter: most rounds hold several faults
         assert key.size > 2 * merged_key.size
 
+    def test_a_draw_refuses_rounds_past_the_packed_key(self):
+        # _merge_rounds packs a round above the word's 23 bits in an int64
+        law = accepted_distribution(default_circuit(), self.NOISE).syndrome_law
+        with pytest.raises(ValueError, match="2\\*\\*40"):
+            faultsim._fault_streams(np.random.default_rng(0), 1 << 40, 0.0,
+                                    self.NOISE, law)
+
     def test_fields_never_overlap(self):
         key, word = self.draw(3)
         fields = 0x7F | 0x7F << faultsim.DATA_SHIFT | 0x7F << faultsim.MEASURED_SHIFT
@@ -384,6 +391,19 @@ class TestSharedDraws:
         estimate_many(cfgs, threads=1)
         assert len(calls) == self.chunks(low) + self.chunks(hot)
 
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_groups_wider_than_one_lane_word(self, threads):
+        # nine eps_a values fill two 4-lane words and one lane of a third;
+        # 0.3 is listed twice, and 0 and 1 come as ints
+        values = (0, 0.15, 0.3, 0.45, 0.6, 0.3, 0.75, 0.9, 1, 0.97)
+        cfgs = [make_cfg(eps_a=a, shots=BATCH_SHOTS + 3000, master_seed=31)
+                for a in values]
+        assert [len(g) for g in faultsim._groups(list(dict.fromkeys(cfgs)))] == [9]
+        alone = [estimate_many([cfg])[0] for cfg in cfgs]
+        assert estimate_many(cfgs, threads=threads) == alone
+        assert alone[2] == alone[5]
+        assert len({est.failures for est in alone}) == 9
+
     def test_a_repeated_config_is_walked_once(self, monkeypatch):
         walked = []
         simulate = faultsim._simulate_batch
@@ -397,6 +417,109 @@ class TestSharedDraws:
         estimates = estimate_many([low, other, low], threads=1)
         assert walked == [[low.eps_a, 0.7]] * 2  # one group, two batches
         assert estimates[0] == estimates[2] == estimate_many([low])[0]
+
+
+class TestClassWalk:
+    """The walk tracks each shot's class (syndrome, weight parity) alone.
+
+    The class map is linear, and each step of a round acts on a pattern's
+    class through classes only, so the class of every output is a function
+    of the input's class: the lumping loses nothing, at every pattern and
+    fault, and the verdict is read off the class.
+    """
+
+    def lane_step(self, c, on_data, on_measured):
+        """A performed round on every lane of c, as the kernel steps it."""
+        correction = faultsim._lane_correction()
+        return (c ^ correction[c ^ faultsim._SYNDROME_LANES[on_measured]]
+                ^ faultsim._CLASS_LANES[on_data])
+
+    def test_a_performed_round_acts_on_classes(self):
+        d, on_data, on_measured = np.meshgrid(
+            *[np.arange(128, dtype=np.uint8)] * 3, indexing="ij", sparse=True)
+        out = steane.CLASS[round_output(d, on_data, on_measured)]
+        lane = self.lane_step(steane.CLASS[d].astype(np.uint16), on_data, on_measured)
+        assert np.array_equal(out, lane & 15)
+
+    def test_fix_and_verdict_act_on_classes(self):
+        d = np.arange(128, dtype=np.uint8)
+        c = steane.CLASS[d].astype(np.uint16)
+        fixed = c ^ faultsim._lane_correction()[c]
+        assert np.array_equal(fixed, steane.CLASS[round_output(d, 0, 0)])
+        assert np.array_equal(fixed == 8, steane.RESIDUAL_LOGICAL[d])
+
+    def test_every_lane_of_a_word_steps_alone(self):
+        # four lanes with their own classes step as four one-lane words
+        rng = np.random.default_rng(8)
+        lanes = rng.integers(0, 16, (1000, 4))
+        on_data, on_measured = rng.integers(0, 128, (2, 1000), dtype=np.uint8)
+        word = (lanes << 4 * np.arange(4)).sum(axis=1).astype(np.uint16)
+        stepped = self.lane_step(word, on_data, on_measured)
+        for i in range(4):
+            lane = self.lane_step(lanes[:, i].astype(np.uint16), on_data, on_measured)
+            assert np.array_equal(stepped >> 4 * i & 15, lane & 15), i
+        fixed = word ^ faultsim._lane_correction()[word]
+        for i in range(4):
+            lane = lanes[:, i] ^ faultsim._lane_correction()[lanes[:, i]]
+            assert np.array_equal(fixed >> 4 * i & 15, lane & 15), i
+
+
+class TestPatternOracle:
+    """The kernel's counts equal a shot-by-shot walk over 7-bit patterns.
+
+    The oracle replays the kernel's draws (the same merged faults and the
+    same two uniforms per event) and walks every shot's full pattern
+    through round_output, one event at a time, so any slip in the class
+    lanes, the masks or the rank order shows as a count that differs.
+    With CHUNK_EVENTS = 0 every block is its own chunk, so each shot's
+    state and last event carry across chunks.
+    """
+
+    NOISE = NoiseParams(eps=0.06, p_meas=0.1)
+
+    def oracle(self, group, syn_probs):
+        cfg = group[0]
+        n = faultsim._batch_extent(cfg, 0)
+        rng = np.random.default_rng(np.random.SeedSequence([cfg.master_seed, 0]))
+        p_gate = parity_flip_prob(cfg.noise.eps_g, cfg.m)
+        assert faultsim._chunk_blocks(cfg, n, p_gate, syn_probs) == 1
+        corrected = round_output(np.arange(128, dtype=np.uint8), 0, 0)
+        data = np.zeros((len(group), n), dtype=np.uint8)
+        last = np.full(n, -1)
+        for block in range(cfg.blocks):
+            shot, word = faultsim._merge_rounds(
+                *faultsim._fault_streams(rng, n, p_gate, cfg.noise, syn_probs))
+            if not shot.size:
+                continue
+            u_fix, u_perform = rng.random((2, shot.size))
+            flip = faultsim._field(word, 0)
+            on_data = faultsim._field(word, faultsim.DATA_SHIFT)
+            on_measured = faultsim._field(word, faultsim.MEASURED_SHIFT)
+            for e, s in enumerate(shot.tolist()):
+                for row, c in zip(data, group):
+                    d = row[s]
+                    if u_fix[e] >= np.float64(c.eps_a) ** (block - last[s] - 1):
+                        d = corrected[d]
+                    d ^= flip[e]
+                    if u_perform[e] >= c.eps_a:
+                        d = round_output(d, on_data[e], on_measured[e])
+                    row[s] = d
+                last[s] = block
+        return np.count_nonzero(steane.RESIDUAL_LOGICAL[data], axis=1).tolist()
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_kernel_matches_the_pattern_walk(self, monkeypatch, m):
+        monkeypatch.setattr(faultsim, "CHUNK_EVENTS", 0)
+        syn_probs = accepted_distribution(default_circuit(), self.NOISE).syndrome_law
+        # five lanes, so the second word holds one; 0.5 twice
+        group = tuple(
+            TrajectoryConfig(n_gates=12, m=m, eps_a=a, noise=self.NOISE,
+                             shots=400, master_seed=17 + m)
+            for a in (0.0, 0.5, 1.0, 0.5, 0.8))
+        counts = _simulate_batch(group, 0, syn_probs)
+        assert counts == self.oracle(group, syn_probs)
+        assert counts[1] == counts[3]
+        assert len(set(counts)) == 4
 
 
 class TestHighRates:
