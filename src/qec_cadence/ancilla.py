@@ -86,7 +86,6 @@ class FaultMasks:
 
     flip_rows: np.ndarray  # (F, 2, 2^n): 0 and each distinct one-qubit flip mask
     flip_kinds: tuple[tuple[str, ...], ...]  # kinds of the ops landing on each mask
-    kinds: frozenset[str]  # every one-qubit op kind in the circuit
     cnot_rows: np.ndarray  # (C, 4, 2^n): 0, control, target and both, per CNOT
     accepted: np.ndarray  # states whose verification bits all read 0
     block: np.ndarray  # block pattern of each accepted state
@@ -119,7 +118,6 @@ class FaultMasks:
         return cls(
             flip_rows=states ^ np.array([(0, mask) for mask in flips])[:, :, None],
             flip_kinds=tuple(map(tuple, flips.values())),
-            kinds=frozenset(op.kind for op in circuit.ops if op.kind != "cx"),
             cnot_rows=states ^ np.array(cnots, dtype=np.intp).reshape(-1, 4, 1),
             accepted=accepted,
             block=accepted & 0x7F,
@@ -160,9 +158,9 @@ def default_circuit() -> AncillaCircuit:
     return build_verified_plus_circuit()
 
 
-def _op_flip_prob(kind: str, noise: NoiseParams) -> float:
-    return {"prep_zero": noise.init_flip, "prep_plus": noise.init_flip,
-            "wait": noise.wait_flip, "measure": noise.meas_flip}[kind]
+# The NoiseParams rate of each one-qubit op kind.
+_FLIP_RATES = {"prep_zero": "init_flip", "prep_plus": "init_flip",
+               "wait": "wait_flip", "measure": "meas_flip"}
 
 
 @dataclass(frozen=True)
@@ -192,7 +190,7 @@ def accepted_distribution(
     2/3 at any valid NoiseParams, so p_accept >= 1/3 and the retries end.
     """
     faults = circuit.fault_masks
-    rate = {kind: _op_flip_prob(kind, noise) for kind in faults.kinds}
+    rate = {kind: getattr(noise, name) for kind, name in _FLIP_RATES.items()}
     dist = np.zeros(1 << circuit.n_qubits)
     dist[0] = 1.0
     for rows, kinds in zip(faults.flip_rows, faults.flip_kinds):

@@ -1,8 +1,9 @@
 """Micro-simulations that fit the per-round effective error rates.
 
 Protocol: prepare the data with a single X error on qubit i, run one
-performed (never skipped) syndrome-extraction round, classify the output.
-Outputs that decode to a logical flip measure the round's tendency to add a
+performed (never skipped) syndrome-extraction round at the grid point's
+noise, NoiseParams.from_eps_g(eps_g), and classify the output.  Outputs
+that decode to a logical flip measure the round's tendency to add a
 second independent error next to an existing one; outputs with exactly one
 residual error measure pass-through and replacement.  Both rates grow
 linearly in eps_g, and their fitted slopes, minus the analytically known
@@ -32,7 +33,7 @@ from .faultsim import (
     sample_round_faults,
     wilson_interval,
 )
-from .model import as_count, as_rate
+from .model import as_count
 from .noise import NoiseParams
 from .steane import RESIDUAL_LOGICAL, WEIGHT
 
@@ -87,18 +88,16 @@ class PositionRates:
 
 
 def measure_position_rates(
-    eps: float,
-    shots: int,
-    seed: int = 0,
-    noise_options: dict | None = None,
+    noise: NoiseParams, shots: int, seed: int = 0
 ) -> list[PositionRates]:
     """Run the protocol once per single-error input; shots split evenly.
 
-    The ancillas come from default_circuit().
+    The ancillas come from default_circuit().  Only rounds with a fault
+    are classified: a fault-free round corrects the single-error input to
+    no error, which is neither a logical flip nor weight 1.
     """
     if as_count("shots", shots) < len(SINGLE_ERROR_INPUTS):
         raise ValueError("need at least one shot per input pattern")
-    noise = NoiseParams(eps=eps, **(noise_options or {}))
     syn_probs = accepted_distribution(default_circuit(), noise).syndrome_law
     base, extra = divmod(shots, len(SINGLE_ERROR_INPUTS))
     out = []
@@ -106,18 +105,13 @@ def measure_position_rates(
         n = base + (1 if k < extra else 0)
         rng = np.random.default_rng(np.random.SeedSequence([seed, k]))
         faults = sample_round_faults(rng, n, noise, syn_probs)
-        # every fault-free round gives the same output
-        quiet = n - faults.index.size
-        clean = round_output(pattern, 0, 0)
         outs = round_output(pattern, faults.on_data, faults.on_measured)
         out.append(
             PositionRates(
                 pattern=pattern,
                 shots=n,
-                two_count=quiet * int(RESIDUAL_LOGICAL[clean])
-                + int(np.count_nonzero(RESIDUAL_LOGICAL[outs])),
-                one_count=quiet * int(WEIGHT[clean] == 1)
-                + int(np.count_nonzero(WEIGHT[outs] == 1)),
+                two_count=int(np.count_nonzero(RESIDUAL_LOGICAL[outs])),
+                one_count=int(np.count_nonzero(WEIGHT[outs] == 1)),
             )
         )
     return out
@@ -216,14 +210,13 @@ def calibrate(
     if not eps_g_grid:
         raise ValueError("eps_g grid must be nonempty")
     divisor = SPECTATOR_COUNT if normalization == "per_spectator" else 1.0
+    # every grid point's noise first, so a bad eps_g anywhere fails up front
+    noises = [NoiseParams.from_eps_g(eps_g, **(noise_options or {}))
+              for eps_g in eps_g_grid]
     points = []
-    for j, eps_g in enumerate(eps_g_grid):
+    for j, (eps_g, noise) in enumerate(zip(eps_g_grid, noises)):
         positions = measure_position_rates(
-            1.5 * as_rate("eps_g", eps_g),
-            shots,
-            seed=derive_seed(seed, j),
-            noise_options=noise_options,
-        )
+            noise, shots, seed=derive_seed(seed, j))
         rate_two, rate_one = _mean_rates(positions)
         n_total = sum(p.shots for p in positions)
         two_total = sum(p.two_count for p in positions)

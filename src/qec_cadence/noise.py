@@ -66,7 +66,11 @@ class NoiseParams:
 
     @classmethod
     def from_eps_g(cls, eps_g: float, **kwargs) -> "NoiseParams":
-        return cls(eps=1.5 * as_rate("eps_g", eps_g), **kwargs)
+        """Noise of per-gate X flip probability eps_g: eps = 1.5 * eps_g."""
+        eps = 1.5 * as_rate("eps_g", eps_g)
+        if not 0.0 <= eps <= 1.0:
+            raise ValueError(f"eps_g must be in [0, 2/3], got {eps_g}")
+        return cls(eps=eps, **kwargs)
 
 
 def bit_error_rates(eps: float) -> tuple[float, float, float]:

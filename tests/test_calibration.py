@@ -41,11 +41,11 @@ class TestFitLinear:
 
 class TestRateMeasurement:
     def test_zero_noise_measures_zero(self):
-        positions = measure_position_rates(0.0, 7000)
+        positions = measure_position_rates(NoiseParams(eps=0.0), 7000)
         assert calibration._mean_rates(positions) == (0.0, 0.0)
 
     def test_position_bookkeeping(self):
-        positions = measure_position_rates(1e-3, 7001, seed=9)
+        positions = measure_position_rates(NoiseParams(eps=1e-3), 7001, seed=9)
         assert len(positions) == 7
         assert [p.pattern for p in positions] == [1 << q for q in range(7)]
         assert sum(p.shots for p in positions) == 7001
@@ -56,18 +56,19 @@ class TestRateMeasurement:
 
     def test_requires_a_shot_per_position(self):
         with pytest.raises(ValueError):
-            measure_position_rates(1e-3, 3)
+            measure_position_rates(NoiseParams(eps=1e-3), 3)
 
     def test_deterministic_in_seed(self):
-        a = measure_position_rates(2e-3, 50_000, seed=4)
-        b = measure_position_rates(2e-3, 50_000, seed=4)
+        noise = NoiseParams(eps=2e-3)
+        a = measure_position_rates(noise, 50_000, seed=4)
+        b = measure_position_rates(noise, 50_000, seed=4)
         assert a == b
 
     def test_matches_exact_reference(self):
-        eps = 3e-3
+        noise = NoiseParams(eps=3e-3)
         shots = 700_000
-        exact_two, exact_one = single_round_rates(NoiseParams(eps=eps))
-        positions = measure_position_rates(eps, shots, seed=11)
+        exact_two, exact_one = single_round_rates(noise)
+        positions = measure_position_rates(noise, shots, seed=11)
         mc_two, mc_one = calibration._mean_rates(positions)
         sig_two = np.sqrt(exact_two * (1 - exact_two) / shots)
         sig_one = np.sqrt(exact_one * (1 - exact_one) / shots)
@@ -81,9 +82,9 @@ class TestRateMeasurement:
         from qec_cadence.exact import syndrome_extraction_transfer
         from qec_cadence.steane import RESIDUAL_LOGICAL
 
-        eps = 5e-3
-        transfer = syndrome_extraction_transfer(NoiseParams(eps=eps))
-        positions = measure_position_rates(eps, 700_000, seed=13)
+        noise = NoiseParams(eps=5e-3)
+        transfer = syndrome_extraction_transfer(noise)
+        positions = measure_position_rates(noise, 700_000, seed=13)
         for q, p in enumerate(positions):
             expect = float(transfer[1 << q][RESIDUAL_LOGICAL].sum())
             sigma = np.sqrt(expect * (1 - expect) / p.shots)
@@ -178,7 +179,7 @@ class TestClampPath:
         # at high eps_g the fitted slopes flatten below the analytic 0.4
         # coupling share (eps_g = 0.5 fits slope_sd ~0.17); fake zero rates
         # reach the same path without sampling: clamp to zero, warn, record
-        def fake_positions(eps, shots, seed=0, noise_options=None):
+        def fake_positions(noise, shots, seed=0):
             return [
                 PositionRates(pattern=1 << q, shots=1000, two_count=0,
                               one_count=0)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from qec_cadence import cli, faultsim
+from qec_cadence import calibration, cli, faultsim
 from qec_cadence.calibration import calibrate
 from qec_cadence.cli import (
     BUILTIN_COEFFS,
@@ -378,6 +378,8 @@ MALFORMED = [
     ("mmin", TINY_MMIN, "mmin", {"m_grid": 5}),
     ("calibrate", TINY_CALIBRATION, "calibration", {"eps_g_grid": 1e-4}),
     ("mmin", TINY_MMIN, "mmin", {"eps_a": []}),
+    ("sweep", TINY_SWEEP, None, {"noise": 5}),
+    ("mmin", TINY_MMIN, None, {"rates": {"source": "calibrated"}}),
 ]
 
 
@@ -564,6 +566,33 @@ class TestCalibrateCommand:
         assert len(record["clamp_warnings"]) == 2
         for note in record["clamp_warnings"]:
             assert proc.stderr.count(note) == 1, proc.stderr
+
+
+@pytest.mark.parametrize("eps_g", [0.9, -1e-5])
+@pytest.mark.parametrize("command,section,key,base", [
+    ("sweep", "sweep", "eps_g", TINY_SWEEP),
+    ("calibrate", "calibration", "eps_g_grid", TINY_CALIBRATION),
+], ids=["sweep", "calibrate"])
+def test_eps_g_outside_its_range_is_named(tmp_path, capsys, command, section,
+                                          key, base, eps_g):
+    # eps_g in [0, 2/3] is depolarizing eps = 1.5 * eps_g in [0, 1]; the
+    # message names the key the config holds, not the derived eps
+    payload = dict(base, **{section: dict(base[section], **{key: [eps_g]})})
+    assert main([command, "--config", write_config(tmp_path, payload),
+                 "--threads", "1", "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err == f"config error: eps_g must be in [0, 2/3], got {eps_g}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_calibrate_validates_whole_grid_before_sampling(tmp_path, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("sampled before the grid was validated")
+    monkeypatch.setattr(calibration, "measure_position_rates", never)
+    payload = {"calibration": {"eps_g_grid": [1e-4, 0.9], "shots": 700}}
+    assert main(["calibrate", "--config", write_config(tmp_path, payload),
+                 "--out", str(tmp_path / "cal.json")]) == 3
+    assert not (tmp_path / "cal.json").exists()
 
 
 class TestCheckCommand:

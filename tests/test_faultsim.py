@@ -221,6 +221,23 @@ class TestEventPositions:
         # gaps far beyond int64 at this rate: none may wrap into the range
         assert _event_positions(rng, 100, 1e-19).size == 0
 
+    def test_runs_past_the_first_draw_continue_where_it_ended(self):
+        # every gap 1, so each location is an event: far more than the
+        # first draw's mean + 4 sqrt(mean) + 16 gaps, and each further run
+        # must start right after the last position of the one before
+        class AllZeros:
+            draws = 0
+
+            def standard_exponential(self, size):
+                self.draws += 1
+                return np.zeros(size)
+
+        for length, p in ((1000, 0.01), (4096, 1e-3), (40, 0.05)):
+            rng = AllZeros()
+            pos = _event_positions(rng, length, p)
+            assert np.array_equal(pos, np.arange(length)), (length, p)
+            assert rng.draws > 1
+
 
 class TestFaultStreams:
     """The chunk's four fault streams and their one merge."""
@@ -576,7 +593,7 @@ class TestStreamPin:
         assert estimate_many([cfg])[0].failures == 500
 
     def test_single_round_position_counts(self):
-        positions = measure_position_rates(6e-3, 7003, seed=31)
+        positions = measure_position_rates(NoiseParams(eps=6e-3), 7003, seed=31)
         assert [(p.two_count, p.one_count) for p in positions] == [
             (90, 19), (98, 23), (83, 28), (78, 39), (91, 24), (78, 17),
             (103, 20),

@@ -242,6 +242,18 @@ class TestSecondOrderFormula:
         assert label == "block_gate_gate"
         assert value == pytest.approx(8.4e-3, rel=1e-12)
 
+    def test_sum_above_one_clamps_with_one_warning(self):
+        # same-block gate pairs alone: 42 * B * m^2 * eps_g^2 / 2 = 21 at
+        # B = 100, m = 10, eps_g = 0.01
+        rates = AbstractRates(eps_g=0.01, eps_s=0, eps_o=0, eps_c=0,
+                              eps_d=0, eps_a=0)
+        sched = Schedule(n_gates=1000, m=10)
+        with pytest.warns(RuntimeWarning, match="clamped") as caught:
+            assert pl_second_order(rates, sched) == 1.0
+        assert len(caught) == 1
+        raw = math.fsum(v for _, v in table_contributions(rates, sched))
+        assert raw == pytest.approx(21.0, rel=1e-12)
+
     def test_single_block_closed_form(self):
         eg, es, eo, ec, ed, ea = 1e-4, 3e-4, 1e-4, 4e-5, 4e-5, 0.25
         rates = AbstractRates(eps_g=eg, eps_s=es, eps_o=eo, eps_c=ec,

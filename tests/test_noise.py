@@ -1,4 +1,5 @@
 """Noise-model identities."""
+import math
 from fractions import Fraction
 
 import pytest
@@ -119,6 +120,22 @@ class TestNoiseParams:
         # not a TypeError from 1.5 * "1e-4", nor eps = 1.5 from True
         with pytest.raises(ValueError, match="eps_g must be a real number"):
             NoiseParams.from_eps_g(eps_g)
+
+    @pytest.mark.parametrize("eps_g", [
+        0.0, -0.0, 1e-4, 2 / 3, math.nextafter(2 / 3, 1.0), 0.6666667, 0.9,
+        -1e-5, -5e-324, float("nan"), float("inf"),
+    ])
+    def test_from_eps_g_range_is_that_of_eps(self, eps_g):
+        # eps_g is refused under its own name exactly where eps = 1.5 * eps_g
+        # would be refused
+        try:
+            NoiseParams(eps=1.5 * eps_g)
+        except ValueError:
+            with pytest.raises(ValueError) as caught:
+                NoiseParams.from_eps_g(eps_g)
+            assert str(caught.value) == f"eps_g must be in [0, 2/3], got {eps_g}"
+        else:
+            assert NoiseParams.from_eps_g(eps_g) == NoiseParams(eps=1.5 * eps_g)
 
     def test_frozen(self):
         n = NoiseParams(eps=0.1)

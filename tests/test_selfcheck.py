@@ -3,7 +3,8 @@ from dataclasses import replace
 
 import pytest
 
-from qec_cadence import exact, faultsim, model, selfcheck
+from qec_cadence import exact, faultsim, model, selfcheck, steane
+from qec_cadence.ancilla import default_circuit, single_fault_audit, strip_verification
 from qec_cadence.faultsim import PlEstimate, estimate_many
 from qec_cadence.selfcheck import CheckResult, run_self_checks
 
@@ -85,3 +86,28 @@ def test_approx_limit_rejects_a_slipped_coefficient(monkeypatch):
     monkeypatch.setattr(model, "approx_coefficients", slipped)
     result = selfcheck._check_approx_limit()
     assert not result.passed, result.detail
+
+
+def test_code_tables_reject_a_decoder_that_corrects_nothing(monkeypatch):
+    monkeypatch.setattr(steane, "apply_ideal_qec",
+                        lambda e: (e, bool(steane.RESIDUAL_LOGICAL[e])))
+    result = selfcheck._check_code_tables()
+    assert not result.passed
+    assert result.detail == "weight-1 pattern 1 not corrected"
+
+
+def test_ancilla_audit_fails_on_a_harmful_accepted_fault(monkeypatch):
+    # the unverified circuit's first finding, reported for every circuit
+    first = single_fault_audit(strip_verification(default_circuit()))[:1]
+    monkeypatch.setattr(selfcheck, "single_fault_audit", lambda circuit: first)
+    result = selfcheck._check_ancilla_audit()
+    assert not result.passed
+    assert result.detail.startswith("1 harmful accepted fault(s), first: ")
+
+
+def test_ancilla_audit_fails_when_the_audit_flags_nothing(monkeypatch):
+    # an audit blind even to an unverified circuit has no teeth
+    monkeypatch.setattr(selfcheck, "single_fault_audit", lambda circuit: [])
+    result = selfcheck._check_ancilla_audit()
+    assert not result.passed
+    assert result.detail == "audit reported nothing even for an unverified circuit"
