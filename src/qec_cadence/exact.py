@@ -11,17 +11,23 @@ matrix is T[x, y] = R[SYNDROME[x], x ^ y] for an 8x128 response table R.
 A round and a gate layer both commute with XOR by an X-stabilizer, and the
 final verdict is constant on the 16 classes (syndrome, weight parity), so
 the 128-state chain lumps onto those classes with no loss.  A run is the
-16x16 block kernel raised to the number of blocks.  R takes the readout
-and coupling faults in through their syndrome laws.  It depends on the
-noise and the circuit only, and building it (the ancilla distribution,
-then the folding) was ~75-80% of a call, while a cadence scan calls many
-(eps_a, m) points at one setting.  So R is cached: one bounded LRU of 32
-tables keyed on (noise, circuit) as passed (the default circuit=None hashes
-no circuit), each read-only, so no caller can change what the next one
-reads.  Nothing that depends on eps_a, m or the number of gates is kept.
-On a 2-core x86 VM (numpy 2.4.6) a call on a cached setting costs
-~0.04-0.06 ms and one that builds R ~0.2-0.25 ms, whatever the number of
-gates.  The 128-state block_output_distribution stays as the reference.
+16x16 block kernel K = eps_a*G + (1 - eps_a)*(G @ T16) raised to the
+number of blocks, G being the m gate layers of a block and T16 the lumped
+round.  R takes the readout and coupling faults in through their syndrome
+laws.  A cadence scan calls many (eps_a, m) points at one setting, and
+what does not depend on eps_a is kept in two bounded LRU caches, each
+entry read-only so no caller can change what the next one reads: R per
+(noise, circuit) as passed (32 tables; the default circuit=None hashes no
+circuit), and the halves G and G @ T16 per (noise, circuit, m) (128
+pairs, so a 66-setting cadence table fits).  A call then only mixes the
+halves at its eps_a and powers K with the very products of
+np.linalg.matrix_power, so its value is bit for bit that of a kernel
+assembled afresh.  Nothing keyed on eps_a or the number of gates is kept.
+On a 2-core x86 VM (numpy 2.4.6) a call on cached halves costs
+~0.02 ms (up to ~0.036 ms when the machine runs its 16x16 products slow),
+one that builds the halves 0.04-0.07 ms and one that builds R 0.17-0.33
+ms, whatever the number of gates.  The 128-state block_output_distribution
+stays as the reference.
 """
 from __future__ import annotations
 
@@ -125,6 +131,38 @@ def block_output_distribution(
     return eps_a * dist + (1.0 - eps_a) * done
 
 
+@lru_cache(maxsize=128)
+def _kernel_halves(
+    noise: NoiseParams, circuit: AncillaCircuit | None, m: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(G, G @ T16), read-only: one block with its round skipped, and done."""
+    flip, w = parity_flip_prob(noise.eps_g, m), np.arange(8)
+    gate = ((flip**w * (1.0 - flip) ** (7 - w)) @ _GATE_CLASSES)[_XOR16]
+    # lumped round T16[u, v] = R16[u & 7, u ^ v]; u & 7 is the syndrome of u
+    response = _syndrome_response(noise, circuit) @ _ONEHOT
+    done = gate @ response[np.arange(16)[:, None] & 7, _XOR16]
+    gate.setflags(write=False)
+    done.setflags(write=False)
+    return gate, done
+
+
+def _matrix_power(kernel: np.ndarray, n: int) -> np.ndarray:
+    """kernel**n, n >= 1, by the very products np.linalg.matrix_power makes.
+
+    Same products, same bits: that includes its n == 3 short-cut
+    (K @ K) @ K, where the binary loop would form K @ (K @ K).
+    """
+    if n == 3:
+        return kernel @ kernel @ kernel
+    z = result = None
+    while n > 0:
+        z = kernel if z is None else z @ z
+        n, bit = divmod(n, 2)
+        if bit:
+            result = z if result is None else result @ z
+    return result
+
+
 def logical_error_exact(
     noise: NoiseParams,
     eps_a: float,
@@ -142,13 +180,9 @@ def logical_error_exact(
     blocks = Schedule(n_gates=n_gates, m=m).blocks
     if not 0.0 <= as_rate("eps_a", eps_a) <= 1.0:
         raise ValueError(f"eps_a must be in [0, 1], got {eps_a}")
-    flip, w = parity_flip_prob(noise.eps_g, m), np.arange(8)
-    gate = ((flip**w * (1.0 - flip) ** (7 - w)) @ _GATE_CLASSES)[_XOR16]
-    # lumped round T16[u, v] = R16[u & 7, u ^ v]; u & 7 is the syndrome of u
-    response = _syndrome_response(noise, circuit) @ _ONEHOT
-    done = gate @ response[np.arange(16)[:, None] & 7, _XOR16]
+    gate, done = _kernel_halves(noise, circuit, m)
     kernel = eps_a * gate + (1.0 - eps_a) * done  # exactly gate at eps_a = 1
-    run = np.linalg.matrix_power(kernel, blocks)
+    run = _matrix_power(kernel, blocks)
     return float(run[0, _LOGICAL].sum())
 
 

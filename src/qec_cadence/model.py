@@ -69,16 +69,22 @@ class AbstractRates:
 
 
 def rates_at(coeffs: dict, eps_g: float, eps_a: float = 0.0) -> AbstractRates:
-    """Rates at eps_g from per-eps_g coefficients, keyed `eps_s_per_eps_g` etc."""
+    """Rates at eps_g from per-eps_g coefficients, keyed `eps_s_per_eps_g` etc.
+
+    A rate c * eps_g must stay in [0, 1], so a coefficient c above 1 caps
+    eps_g at 1/c; past it the ValueError names eps_g and the cap.
+    """
     as_rate("eps_g", eps_g)
-    return AbstractRates(
-        eps_g=eps_g,
-        eps_a=eps_a,
-        eps_s=coeffs["eps_s_per_eps_g"] * eps_g,
-        eps_o=coeffs["eps_o_per_eps_g"] * eps_g,
-        eps_c=coeffs["eps_c_per_eps_g"] * eps_g,
-        eps_d=coeffs["eps_d_per_eps_g"] * eps_g,
-    )
+    derived = {rate: coeffs[f"{rate}_per_eps_g"] * eps_g
+               for rate in ("eps_s", "eps_o", "eps_c", "eps_d")}
+    top = max(derived, key=derived.get)
+    coeff = coeffs[f"{top}_per_eps_g"]
+    if derived[top] > 1.0 and coeff > 1.0:
+        raise ValueError(
+            f"eps_g must be in [0, 1/{coeff!r}] (about {1.0 / coeff:.2g}) "
+            f"with these rate coefficients, got {eps_g}"
+        )
+    return AbstractRates(eps_g=eps_g, eps_a=eps_a, **derived)
 
 
 def as_rate(name: str, value) -> float:
@@ -189,15 +195,33 @@ def _pair_terms(rates: AbstractRates) -> tuple:
     )
 
 
-def table_contributions(rates: AbstractRates, schedule: Schedule) -> list[tuple[str, float]]:
-    """The 15 second-order pair terms at B blocks, each already times 42."""
-    terms = _pair_terms(rates)
+def _windowed(terms: tuple, eps_a: float, schedule: Schedule) -> list[tuple[str, float]]:
+    """The pair terms at the schedule's B blocks, each already times 42."""
     b, m = schedule.blocks, float(schedule.m)
-    window = (float(b), b - 1.0, gamma(b, rates.eps_a), gamma3(b, rates.eps_a))
+    window = (float(b), b - 1.0, gamma(b, eps_a), gamma3(b, eps_a))
     m_power = (1.0, m, m * m)
     k = float(ORDERED_QUBIT_PAIRS)
     return [(name, k * window[w] * m_power[p] * product)
             for name, w, p, product in terms]
+
+
+def _clamped_sum(terms: tuple, eps_a: float, schedule: Schedule) -> float:
+    """fsum of the windowed terms, clamped to [0, 1] with a warning."""
+    total = math.fsum(value for _, value in _windowed(terms, eps_a, schedule))
+    if not 0.0 <= total <= 1.0:
+        warnings.warn(
+            f"second-order sum {total:.3g} outside [0, 1]; clamped "
+            "(rates too large for the truncation)",
+            RuntimeWarning,
+            stacklevel=3,  # the caller of pl_second_order or grid_argmin
+        )
+        total = min(max(total, 0.0), 1.0)
+    return total
+
+
+def table_contributions(rates: AbstractRates, schedule: Schedule) -> list[tuple[str, float]]:
+    """The 15 second-order pair terms at B blocks, each already times 42."""
+    return _windowed(_pair_terms(rates), rates.eps_a, schedule)
 
 
 def pl_second_order(rates: AbstractRates, schedule: Schedule) -> float:
@@ -207,16 +231,7 @@ def pl_second_order(rates: AbstractRates, schedule: Schedule) -> float:
     up to this value exactly).  Being a truncated series the raw sum can
     exceed 1 for large inputs; it is clamped to [0, 1] with a warning.
     """
-    total = math.fsum(value for _, value in table_contributions(rates, schedule))
-    if not 0.0 <= total <= 1.0:
-        warnings.warn(
-            f"second-order sum {total:.3g} outside [0, 1]; clamped "
-            "(rates too large for the truncation)",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        total = min(max(total, 0.0), 1.0)
-    return total
+    return _clamped_sum(_pair_terms(rates), rates.eps_a, schedule)
 
 
 @dataclass(frozen=True)
@@ -280,9 +295,10 @@ def grid_argmin(rates: AbstractRates, n_gates: int, m_grid) -> tuple[int, float]
     )
     if not schedules:
         raise ValueError("empty m grid")
+    terms = _pair_terms(rates)  # built and validated once for the grid
     best_m, best_p = None, None
     for schedule in schedules:
-        p = pl_second_order(rates, schedule)
+        p = _clamped_sum(terms, rates.eps_a, schedule)
         if best_p is None or p < best_p:
             best_m, best_p = schedule.m, p
     return best_m, best_p

@@ -585,6 +585,47 @@ def test_eps_g_outside_its_range_is_named(tmp_path, capsys, command, section,
     assert not (tmp_path / "out").exists()
 
 
+# coefficients of a calibrated record whose largest, 5.0, caps eps_g at 0.2
+CAPPED_RECORD = {"eps_s_per_eps_g": 5.0, "eps_o_per_eps_g": 0.5,
+                 "eps_c_per_eps_g": 0.4, "eps_d_per_eps_g": 0.4}
+
+
+@pytest.mark.parametrize("command,source,eps_g,cap", [
+    ("sweep", "builtin", 0.5, "1/3.45] (about 0.29)"),
+    ("mmin", "builtin", 0.5, "1/3.45] (about 0.29)"),
+    ("mmin", "builtin", 0.9, "1/3.45] (about 0.29)"),
+    ("sweep", "calibrated", 0.25, "1/5.0] (about 0.2)"),
+    ("mmin", "calibrated", 0.25, "1/5.0] (about 0.2)"),
+])
+def test_eps_g_past_its_rate_cap_is_named(tmp_path, capsys, command, source,
+                                          eps_g, cap):
+    # the closed form's rates are coefficient * eps_g and must stay in
+    # [0, 1], so the largest coefficient caps eps_g; the message names
+    # eps_g and that cap, never a derived rate the config does not hold
+    base, section = {"sweep": (TINY_SWEEP, "sweep"),
+                     "mmin": (TINY_MMIN, "mmin")}[command]
+    payload = dict(base, **{section: dict(base[section], eps_g=[eps_g])})
+    if source == "calibrated":
+        record = tmp_path / "cal.json"
+        record.write_text(json.dumps(CAPPED_RECORD))
+        payload["rates"] = {"source": "calibrated", "record": str(record)}
+    assert main([command, "--config", write_config(tmp_path, payload),
+                 "--threads", "1", "--out", str(tmp_path / "out")]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == (f"config error: eps_g must be in [0, {cap} with "
+                            f"these rate coefficients, got {eps_g}\n")
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+def test_rate_cap_moves_with_the_rate_source(tmp_path):
+    # eps_g 0.25, refused above under the record's cap 1/5, is under the
+    # builtin cap 1/3.45 (where the second-order sum clamps)
+    payload = dict(TINY_MMIN, mmin=dict(TINY_MMIN["mmin"], eps_g=[0.25]))
+    with pytest.warns(RuntimeWarning, match="clamped"):
+        assert main(["mmin", "--config", write_config(tmp_path, payload)]) == 0
+
+
 def test_calibrate_validates_whole_grid_before_sampling(tmp_path, monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("sampled before the grid was validated")

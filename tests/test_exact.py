@@ -312,9 +312,10 @@ class TestKernelPower:
                     block_by_block(noise, transfer, eps_a, 30, m), rel=1e-12
                 ), (eps_a, m)
 
-    def test_criterion_7_scan_is_fast(self):
+    def test_criterion_7_scan_is_fast(self, cold_response_cache):
         # the exact half of acceptance criterion 7: 264 evaluations over 3
-        # noise settings, so 3 round builds; the other 261 calls reuse one
+        # noise settings, so 3 round builds and 24 (noise, m) kernel-half
+        # builds; every other call reuses them
         t0 = time.perf_counter()
         for eps_g in (5e-5, 1e-4, 3e-4):
             noise = NoiseParams.from_eps_g(eps_g)
@@ -322,13 +323,70 @@ class TestKernelPower:
                 for m in range(1, 9):
                     logical_error_exact(noise, k * 0.05, 840, m)
         assert time.perf_counter() - t0 < 5.0
+        assert exact._syndrome_response.cache_info().misses == 3
+        assert exact._kernel_halves.cache_info().misses == 24
+
+
+EXACT_CACHES = (exact._syndrome_response, exact._kernel_halves)
+
+
+def kernel_afresh(noise, eps_a, n_gates, m, circuit=None):
+    """The run with its block kernel assembled on every call.
+
+    The reference the cached halves and the in-module power must match
+    bit for bit: G and G @ T16 built from the response table, mixed by
+    eps_a and raised to B by np.linalg.matrix_power.
+    """
+    flip, w = parity_flip_prob(noise.eps_g, m), np.arange(8)
+    gate = ((flip**w * (1.0 - flip) ** (7 - w)) @ exact._GATE_CLASSES)[
+        exact._XOR16]
+    response = exact._syndrome_response(noise, circuit) @ exact._ONEHOT
+    done = gate @ response[np.arange(16)[:, None] & 7, exact._XOR16]
+    kernel = eps_a * gate + (1.0 - eps_a) * done
+    run = np.linalg.matrix_power(kernel, n_gates // m)
+    return float(run[0, exact._LOGICAL].sum())
+
+
+SHAPES = {
+    "default": ({}, None),
+    "p_meas": ({"p_meas": 0.0}, None),
+    "wait_scale": ({"wait_scale": 0.0}, None),
+    "no_init_error": ({"include_init_error": False}, None),
+    "stripped": ({}, CIRCUITS["stripped"]),
+}
+
+
+class TestIdentityPin:
+    # Values are held with ==, not a tolerance: the cached kernel halves
+    # and the power must give the very bits of the afresh assembly.  A
+    # binary power loop without numpy's n == 3 short-cut (K @ K) @ K read
+    # 5.66043733881892e-11 for 5.6604373388189194e-11 at eps_g 1e-7,
+    # N 12, m 4, eps_a 0.05 (numpy 2.4.6 on x86).
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_cached_kernel_gives_the_same_bits(self, shape):
+        options, circuit = SHAPES[shape]
+        for eps_g in (1e-7, 1e-4, 1e-2):
+            noise = NoiseParams.from_eps_g(eps_g, **options)
+            for blocks in (1, 2, 3, 4, 5, 7, 8, 105, 840):
+                for m in (1, 4):
+                    for eps_a in (0.0, 0.05, 0.3, 1.0):
+                        n_gates = blocks * m
+                        got = logical_error_exact(
+                            noise, eps_a, n_gates, m, circuit)
+                        want = kernel_afresh(noise, eps_a, n_gates, m, circuit)
+                        assert got == want, (eps_g, blocks, m, eps_a)
 
 
 @pytest.fixture
 def cold_response_cache():
-    exact._syndrome_response.cache_clear()
+    # every exact cache: with the response table alone cleared, the kernel
+    # halves would stay warm and a scan would build no round at all
+    for cache in EXACT_CACHES:
+        cache.cache_clear()
     yield
-    exact._syndrome_response.cache_clear()
+    for cache in EXACT_CACHES:
+        cache.cache_clear()
 
 
 class TestCallsShareNoState:
@@ -372,6 +430,23 @@ class TestCallsShareNoState:
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[0, 0] = 1.0
+
+    def test_a_scan_builds_each_blocks_halves_once(self, cold_response_cache):
+        # the eps_a-free halves (G, G @ T16) are kept per (noise, circuit, m):
+        # 11 eps_a x 8 m at one noise setting builds 8 pairs, read-only
+        noise = NoiseParams.from_eps_g(1e-4)
+        for k in range(11):
+            for m in range(1, 9):
+                logical_error_exact(noise, k * 0.05, 840, m)
+        info = exact._kernel_halves.cache_info()
+        assert (info.misses, info.hits) == (8, 80)
+        assert info.maxsize >= 128
+        for m in range(1, 9):
+            for half in exact._kernel_halves(noise, None, m):
+                assert half.shape == (16, 16)
+                assert not half.flags.writeable
+                with pytest.raises(ValueError):
+                    half[0, 0] = 1.0
 
 
 class TestCadenceMap:

@@ -195,6 +195,25 @@ class TestRates:
             AbstractRates(eps_g=float("nan"), eps_s=0, eps_o=0, eps_c=0,
                           eps_d=0, eps_a=0).validate()
 
+    def test_rates_at_refuses_exactly_past_the_cap(self):
+        # the largest coefficient, 3.45, caps eps_g at 1/3.45; the refusal
+        # names eps_g and falls on the same float comparison that
+        # validate() makes on the derived eps_s
+        cap = 1 / 3.45
+        for eps_g in (cap, math.nextafter(cap, 0.0), math.nextafter(cap, 1.0),
+                      0.5, 0.9, 1.5):
+            if COEFFS["eps_s_per_eps_g"] * eps_g > 1.0:
+                with pytest.raises(ValueError, match=(
+                        r"^eps_g must be in \[0, 1/3.45\] \(about 0.29\) "
+                        f"with these rate coefficients, got {eps_g}$")):
+                    rates_at(COEFFS, eps_g)
+            else:
+                rates_at(COEFFS, eps_g).validate()
+        # coefficients of at most 1 cap nothing below eps_g's own range
+        small = {key: 0.5 for key in COEFFS}
+        with pytest.raises(ValueError, match=r"^eps_g must be in \[0, 1\]"):
+            rates_at(small, 1.5).validate()
+
     def test_scaled_leaves_skip_probability_alone(self):
         r = AbstractRates(eps_g=1e-4, eps_s=3e-4, eps_o=1e-4, eps_c=4e-5,
                           eps_d=4e-5, eps_a=0.3)
