@@ -143,19 +143,15 @@ _KINDS = {"P0": "prep_zero", "P+": "prep_plus", "W": "wait", "CX": "cx",
           "MZ": "measure"}
 
 
-def build_verified_plus_circuit() -> AncillaCircuit:
-    """The documented default preparation circuit, built from SCHEDULE."""
+@cache
+def default_circuit() -> AncillaCircuit:
+    """The documented default preparation circuit, built once from SCHEDULE."""
     ops = tuple(
         Op(_KINDS[name], tuple(int(q) - 1 for q in qubits[:-1].split("->")), step)
         for step, line in enumerate(SCHEDULE)
         for name, qubits in (token.split("(") for token in line.split())
     )
     return AncillaCircuit(ops=ops, n_qubits=8)
-
-
-@cache
-def default_circuit() -> AncillaCircuit:
-    return build_verified_plus_circuit()
 
 
 # The NoiseParams rate of each one-qubit op kind.

@@ -4,20 +4,22 @@ Subcommands: calibrate (fit round error rates, write a JSON record), sweep
 (Monte Carlo vs closed-form grid, write CSV), mmin (optimal-cadence table
 from the closed form), check (built-in consistency battery).
 
-Config is a single JSON document; parsing fills documented defaults and
-serializing writes every field back out, so a round-tripped config is fully
-explicit.  Seed precedence: --seed flag, then QEC_CADENCE_SEED, then the
-config value.  Exit codes: 0 ok, 1 self-check failure, 3 config error.
-No run aborts: the verified ancilla accepts with probability at least 1/3
-at any valid noise setting (ancilla.accepted_distribution).
+Config is a single JSON document.  parse_config validates it and returns a
+plain dict with every documented default filled in; json.dumps serializes
+that dict, and parsing the dump gives it back.  Seed precedence: --seed
+flag, then QEC_CADENCE_SEED, then the config value.  Exit codes: 0 ok,
+1 self-check failure, 3 config error.  No run aborts: the verified ancilla
+accepts with probability at least 1/3 at any valid noise setting
+(ancilla.accepted_distribution).
 """
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import fields
 
 from .calibration import (
     BUILTIN_COEFFS,
@@ -101,77 +103,52 @@ def _section(raw: dict, name: str, defaults: dict) -> dict:
         if not isinstance(section[key], list) or not section[key]:
             raise ConfigError(
                 f"{name}.{key} must be a non-empty list, got {section[key]!r}")
+        section[key] = list(section[key])  # editing it leaves the defaults alone
     return section
 
 
-@dataclass(frozen=True)
-class Config:
-    seed: int
-    noise: dict
-    rates: dict
-    sweep: dict
-    mmin: dict
-    calibration: dict
-    out: str | None
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "Config":
-        allowed = {"seed", "noise", "rates", "sweep", "mmin", "calibration", "out"}
-        unknown = set(raw) - allowed
-        if unknown:
-            raise ConfigError(f"unknown top-level config key(s): {sorted(unknown)}")
-        seed = _valid_seed(raw.get("seed", DEFAULT_SEED))
-        rates = raw.get("rates", {"source": "builtin"})
-        if not isinstance(rates, dict) or "source" not in rates:
-            raise ConfigError("rates must be an object with a 'source' key")
-        source = rates["source"]
-        if source == "builtin":
-            allowed_rates = {"source"}
-        elif source == "explicit":
-            allowed_rates = {"source", *BUILTIN_COEFFS}
-        elif source == "calibrated":
-            allowed_rates = {"source", "record"}
-        else:
-            raise ConfigError(
-                f"rates source must be builtin, explicit or calibrated, got {source!r}"
-            )
-        unknown = set(rates) - allowed_rates
-        if unknown:
-            raise ConfigError(f"unknown key(s) in rates: {sorted(unknown)}")
-        out = raw.get("out")
-        if out is not None and not isinstance(out, str):
-            raise ConfigError("out must be a string path")
-        # every subcommand gets a noise section that NoiseParams accepts
-        noise = _section(raw, "noise", DEFAULT_NOISE_OPTIONS)
-        try:
-            NoiseParams(eps=0.0, **noise)
-        except ValueError as exc:
-            raise ConfigError(f"invalid noise options: {exc}") from exc
-        return cls(
-            seed=seed,
-            noise=noise,
-            rates=dict(rates),
-            sweep=_section(raw, "sweep", DEFAULT_SWEEP),
-            mmin=_section(raw, "mmin", DEFAULT_MMIN),
-            calibration=_section(raw, "calibration", DEFAULT_CALIBRATION),
-            out=out,
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "noise": dict(self.noise),
-            "rates": dict(self.rates),
-            "sweep": dict(self.sweep),
-            "mmin": dict(self.mmin),
-            "calibration": dict(self.calibration),
-            "out": self.out,
-        }
+def parse_config(raw: dict) -> dict:
+    """The validated config: `raw` as plain JSON data with every default filled in."""
+    allowed = {"seed", "noise", "rates", "sweep", "mmin", "calibration", "out"}
+    unknown = set(raw) - allowed
+    if unknown:
+        raise ConfigError(f"unknown top-level config key(s): {sorted(unknown)}")
+    seed = _valid_seed(raw.get("seed", DEFAULT_SEED))
+    rates = raw.get("rates", {"source": "builtin"})
+    if not isinstance(rates, dict) or "source" not in rates:
+        raise ConfigError("rates must be an object with a 'source' key")
+    rate_keys = {"builtin": {"source"}, "explicit": {"source", *BUILTIN_COEFFS},
+                 "calibrated": {"source", "record"}}
+    source = rates["source"]
+    if not isinstance(source, str) or source not in rate_keys:
+        raise ConfigError(
+            f"rates source must be builtin, explicit or calibrated, got {source!r}")
+    unknown = set(rates) - rate_keys[source]
+    if unknown:
+        raise ConfigError(f"unknown key(s) in rates: {sorted(unknown)}")
+    out = raw.get("out")
+    if out is not None and not isinstance(out, str):
+        raise ConfigError("out must be a string path")
+    # every subcommand gets a noise section that NoiseParams accepts
+    noise = _section(raw, "noise", DEFAULT_NOISE_OPTIONS)
+    try:
+        NoiseParams(eps=0.0, **noise)
+    except ValueError as exc:
+        raise ConfigError(f"invalid noise options: {exc}") from exc
+    return {
+        "seed": seed,
+        "noise": noise,
+        "rates": dict(rates),
+        "sweep": _section(raw, "sweep", DEFAULT_SWEEP),
+        "mmin": _section(raw, "mmin", DEFAULT_MMIN),
+        "calibration": _section(raw, "calibration", DEFAULT_CALIBRATION),
+        "out": out,
+    }
 
 
-def load_config(path: str | None) -> Config:
+def load_config(path: str | None) -> dict:
     if path is None:
-        return Config.from_dict({})
+        return parse_config({})
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -181,18 +158,18 @@ def load_config(path: str | None) -> Config:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    return Config.from_dict(raw)
+    return parse_config(raw)
 
 
-def rate_coefficients(config: Config) -> dict:
-    """Per-eps_g coefficients {eps_s, eps_o, eps_c, eps_d} for the model."""
-    source = config.rates["source"]
+def rate_coefficients(config: dict) -> dict:
+    """Per-eps_g coefficients {eps_s, eps_o, eps_c, eps_d}, each finite, >= 0."""
+    source = config["rates"]["source"]
     if source == "builtin":
         return dict(BUILTIN_COEFFS)
     if source == "explicit":
-        given, where = config.rates, "explicit rates"
+        given, where = config["rates"], "explicit rates"
     else:
-        path = config.rates.get("record")
+        path = config["rates"].get("record")
         if not path:
             raise ConfigError("rates source 'calibrated' needs a 'record' path")
         where = f"calibration record {path}"
@@ -207,9 +184,13 @@ def rate_coefficients(config: Config) -> dict:
     if missing:
         raise ConfigError(f"{where} missing {missing}")
     try:
-        return {k: as_rate(k, given[k]) for k in BUILTIN_COEFFS}
+        coeffs = {k: as_rate(k, given[k]) for k in BUILTIN_COEFFS}
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
+    for k, c in coeffs.items():
+        if not 0.0 <= c < math.inf:
+            raise ConfigError(f"{where}: {k} must be finite and >= 0, got {c!r}")
+    return coeffs
 
 
 def _fmt(x: float) -> str:
@@ -233,8 +214,8 @@ def _write_text(path: str, text: str) -> None:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
-def cmd_sweep(config: Config, seed: int, threads: int, out: str | None) -> int:
-    section = config.sweep
+def cmd_sweep(config: dict, seed: int, threads: int, out: str | None) -> int:
+    section = config["sweep"]
     n_gates = section["n_gates"]
     # Build every point before sampling any: the library objects validate
     # the grid, so a bad value anywhere in it fails up front.
@@ -243,7 +224,7 @@ def cmd_sweep(config: Config, seed: int, threads: int, out: str | None) -> int:
         coeffs = rate_coefficients(config)
         schedules = [Schedule(n_gates=n_gates, m=m) for m in section["m"]]
         for g, eps_g in enumerate(section["eps_g"]):
-            noise = NoiseParams.from_eps_g(eps_g, **config.noise)
+            noise = NoiseParams.from_eps_g(eps_g, **config["noise"])
             # one seed per (eps_g, m): the pair's eps_a rows share its draw
             seeds = [derive_seed(seed, g * len(schedules) + j)
                      for j in range(len(schedules))]
@@ -259,7 +240,7 @@ def cmd_sweep(config: Config, seed: int, threads: int, out: str | None) -> int:
                                    approx.evaluate(sched.m)))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    path = out or config.out or "sweep.csv"
+    path = out or config["out"] or "sweep.csv"
     _check_writable(path)
     estimates = estimate_many([cfg for _, cfg, _, _ in points], threads=threads)
     lines = [CSV_HEADER]
@@ -280,8 +261,8 @@ def cmd_sweep(config: Config, seed: int, threads: int, out: str | None) -> int:
     return 0
 
 
-def cmd_mmin(config: Config, seed: int, threads: int, out: str | None) -> int:
-    section = config.mmin
+def cmd_mmin(config: dict, seed: int, threads: int, out: str | None) -> int:
+    section = config["mmin"]
     lines = ["eps_g,eps_a,m_min,argmin_m,argmin_pl"]
     # Pure arithmetic: any ValueError here comes from a bad config value.
     try:
@@ -297,16 +278,16 @@ def cmd_mmin(config: Config, seed: int, threads: int, out: str | None) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     text = "\n".join(lines) + "\n"
-    path = out or config.out
+    path = out or config["out"]
     if path:
         _write_text(path, text)
     print(text, end="")
     return 0
 
 
-def cmd_calibrate(config: Config, seed: int, threads: int, out: str | None) -> int:
-    section = config.calibration
-    path = out or config.out or "calibration.json"
+def cmd_calibrate(config: dict, seed: int, threads: int, out: str | None) -> int:
+    section = config["calibration"]
+    path = out or config["out"] or "calibration.json"
     _check_writable(path)
     try:
         result = calibrate(
@@ -314,13 +295,13 @@ def cmd_calibrate(config: Config, seed: int, threads: int, out: str | None) -> i
             shots=section["shots"],
             seed=seed,
             normalization=section["normalization"],
-            noise_options=dict(config.noise),
+            noise_options=dict(config["noise"]),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     record = result.to_record()
     record["seed"] = seed
-    record["noise"] = dict(config.noise)
+    record["noise"] = dict(config["noise"])
     text = json.dumps(record, indent=2, sort_keys=True) + "\n"
     _write_text(path, text)
     print(
@@ -330,7 +311,7 @@ def cmd_calibrate(config: Config, seed: int, threads: int, out: str | None) -> i
     return 0
 
 
-def cmd_check(config: Config, seed: int, threads: int, out: str | None) -> int:
+def cmd_check(config: dict, seed: int, threads: int, out: str | None) -> int:
     results = run_self_checks()
     failed = 0
     for r in results:
@@ -365,12 +346,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def resolve_seed(flag_seed: int | None, config: Config) -> int:
+def resolve_seed(flag_seed: int | None, config: dict) -> int:
     if flag_seed is not None:
         return _valid_seed(flag_seed)
     env = os.environ.get("QEC_CADENCE_SEED")
     if env is None:
-        return config.seed
+        return config["seed"]
     try:
         seed = int(env, 10)
     except ValueError as exc:

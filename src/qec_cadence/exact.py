@@ -65,18 +65,13 @@ np.add.at(_GATE_CLASSES, (WEIGHT, CLASS), 1.0)
 _XOR16 = _XOR[:16, :16]
 
 
-def convolve_bit_flips(dist: np.ndarray, probs) -> np.ndarray:
-    """XOR-convolve independent per-qubit flips into a 128-vector.
-
-    `probs` is a scalar (same rate on all 7 qubits) or a length-7 sequence.
-    """
-    if np.isscalar(probs):
-        probs = [probs] * 7
-    out = dist
-    for q, p in enumerate(probs):
-        if p != 0.0:
-            out = (1.0 - p) * out + p * out[_IDX ^ (1 << q)]
-    return out
+def convolve_bit_flips(dist: np.ndarray, p: float) -> np.ndarray:
+    """XOR-convolve an independent flip at rate p on each of the 7 qubits."""
+    if p == 0.0:
+        return dist
+    for q in range(7):
+        dist = (1.0 - p) * dist + p * dist[_IDX ^ (1 << q)]
+    return dist
 
 
 @lru_cache(maxsize=32)

@@ -4,7 +4,10 @@ Only bit-flip (X) errors are tracked.  An error pattern is an integer in
 [0, 128) whose bit q-1 is the X error on qubit q (qubits are 1-based in all
 documentation and reports).  The parity-check matrix is chosen so that column
 q is the binary expansion of q; a single X error on qubit q therefore has
-syndrome integer q, and lookup decoding is just "flip qubit s".
+syndrome integer q, and lookup decoding is just "flip qubit s".  The check
+matrix is written once, as the rows in PARITY_ROWS: SYNDROME is computed
+from them and every other syndrome table is built on SYNDROME, except
+DECODE, which reads the column convention backwards.
 """
 from __future__ import annotations
 
@@ -21,29 +24,13 @@ PARITY_ROWS = (
     0b1111000,  # qubits 4,5,6,7
 )
 
-H = np.array(
-    [[(row >> q) & 1 for q in range(N_QUBITS)] for row in PARITY_ROWS],
+WEIGHT = np.array([e.bit_count() for e in range(N_PATTERNS)], dtype=np.uint8)
+# Bit k of the syndrome is the parity of the error on row k's qubits.
+SYNDROME = np.array(
+    [sum(((e & row).bit_count() & 1) << k for k, row in enumerate(PARITY_ROWS))
+     for e in range(N_PATTERNS)],
     dtype=np.uint8,
 )
-
-
-def _popcount_table() -> np.ndarray:
-    return np.array([bin(e).count("1") for e in range(N_PATTERNS)], dtype=np.uint8)
-
-
-def _syndrome_table() -> np.ndarray:
-    syn = np.zeros(N_PATTERNS, dtype=np.uint8)
-    for e in range(N_PATTERNS):
-        s = 0
-        for q in range(N_QUBITS):
-            if (e >> q) & 1:
-                s ^= q + 1
-        syn[e] = s
-    return syn
-
-
-WEIGHT = _popcount_table()
-SYNDROME = _syndrome_table()
 # Weight <= 1 representative for each syndrome: syndrome s != 0 means qubit s.
 DECODE = np.array([0] + [1 << (s - 1) for s in range(1, 8)], dtype=np.uint8)
 # Logical verdict of the post-correction residual for every input pattern.

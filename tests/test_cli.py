@@ -19,11 +19,11 @@ from qec_cadence.cli import (
     BUILTIN_COEFFS,
     CSV_HEADER,
     DEFAULT_SEED,
-    Config,
     ConfigError,
     derive_seed,
     load_config,
     main,
+    parse_config,
     rate_coefficients,
     rates_at,
     resolve_seed,
@@ -59,23 +59,34 @@ def no_ambient_seed(monkeypatch):
 
 class TestConfig:
     def test_empty_dict_gives_defaults(self):
-        cfg = Config.from_dict({})
-        assert cfg.seed == DEFAULT_SEED
-        assert cfg.rates == {"source": "builtin"}
-        assert cfg.out is None
-        assert cfg.sweep["n_gates"] == 1000
+        cfg = parse_config({})
+        assert cfg["seed"] == DEFAULT_SEED
+        assert cfg["rates"] == {"source": "builtin"}
+        assert cfg["out"] is None
+        assert cfg["sweep"]["n_gates"] == 1000
 
-    def test_round_trip_is_lossless(self):
-        for raw in ({}, TINY_SWEEP,
-                    {"rates": {"source": "explicit", **BUILTIN_COEFFS}},
-                    {"noise": {"wait_scale": 0.0}}):
-            cfg = Config.from_dict(raw)
-            again = Config.from_dict(cfg.to_dict())
-            assert again == cfg
-            assert again.to_dict() == cfg.to_dict()
+    @pytest.mark.parametrize("raw", [
+        {}, TINY_SWEEP, {"rates": {"source": "explicit", **BUILTIN_COEFFS}},
+        {"noise": {"wait_scale": 0.0}},
+        *(json.loads(p.read_text(encoding="utf-8"))
+          for p in sorted(CONFIGS_DIR.glob("*.json"))),
+    ], ids=["empty", "tiny-sweep", "explicit-rates", "no-wait-flips",
+            *sorted(p.name for p in CONFIGS_DIR.glob("*.json"))])
+    def test_round_trip_is_lossless(self, raw):
+        cfg = parse_config(raw)
+        assert parse_config(cfg) == cfg
+        assert parse_config(json.loads(json.dumps(cfg))) == cfg
+
+    def test_editing_a_parsed_config_leaves_the_defaults_alone(self):
+        before = json.loads(json.dumps(parse_config({})))
+        for section in parse_config({}).values():
+            for value in (section.values() if isinstance(section, dict) else ()):
+                if isinstance(value, list):
+                    value.append(0.2)
+        assert parse_config({}) == before
 
     def test_serialized_form_is_fully_explicit(self):
-        d = Config.from_dict({}).to_dict()
+        d = parse_config({})
         assert set(d) == {
             "seed", "noise", "rates", "sweep", "mmin", "calibration", "out"
         }
@@ -85,20 +96,20 @@ class TestConfig:
 
     def test_unknown_keys_rejected_everywhere(self):
         with pytest.raises(ConfigError):
-            Config.from_dict({"sweeep": {}})
+            parse_config({"sweeep": {}})
         with pytest.raises(ConfigError):
-            Config.from_dict({"sweep": {"shotz": 5}})
+            parse_config({"sweep": {"shotz": 5}})
         with pytest.raises(ConfigError):
-            Config.from_dict({"noise": {"include_everything": True}})
+            parse_config({"noise": {"include_everything": True}})
         with pytest.raises(ConfigError):
-            Config.from_dict({"rates": {"source": "builtin", "extra": 1}})
+            parse_config({"rates": {"source": "builtin", "extra": 1}})
 
     def test_rates_source_validation(self):
         with pytest.raises(ConfigError):
-            Config.from_dict({"rates": {"source": "psychic"}})
+            parse_config({"rates": {"source": "psychic"}})
         with pytest.raises(ConfigError):
-            Config.from_dict({"rates": {}})
-        cfg = Config.from_dict(
+            parse_config({"rates": {}})
+        cfg = parse_config(
             {"rates": {"source": "explicit", "eps_s_per_eps_g": 3.0}}
         )
         # allowed at parse time; missing coefficients surface on use
@@ -107,15 +118,15 @@ class TestConfig:
 
     def test_seed_validation(self):
         with pytest.raises(ConfigError):
-            Config.from_dict({"seed": -1})
+            parse_config({"seed": -1})
         with pytest.raises(ConfigError):
-            Config.from_dict({"seed": 2**64})
+            parse_config({"seed": 2**64})
         with pytest.raises(ConfigError):
-            Config.from_dict({"seed": "42"})
+            parse_config({"seed": "42"})
 
     def test_out_must_be_a_string(self):
         with pytest.raises(ConfigError):
-            Config.from_dict({"out": 7})
+            parse_config({"out": 7})
 
 
 class TestLoadConfig:
@@ -138,27 +149,27 @@ class TestLoadConfig:
 
 class TestSeedResolution:
     def test_config_seed_is_the_fallback(self):
-        cfg = Config.from_dict({"seed": 7})
+        cfg = parse_config({"seed": 7})
         assert resolve_seed(None, cfg) == 7
 
     def test_environment_overrides_config(self, monkeypatch):
         monkeypatch.setenv("QEC_CADENCE_SEED", "123")
-        cfg = Config.from_dict({"seed": 7})
+        cfg = parse_config({"seed": 7})
         assert resolve_seed(None, cfg) == 123
 
     def test_flag_overrides_environment(self, monkeypatch):
         monkeypatch.setenv("QEC_CADENCE_SEED", "123")
-        cfg = Config.from_dict({"seed": 7})
+        cfg = parse_config({"seed": 7})
         assert resolve_seed(55, cfg) == 55
 
     def test_invalid_environment_seed(self, monkeypatch):
         monkeypatch.setenv("QEC_CADENCE_SEED", "0x12")
         with pytest.raises(ConfigError):
-            resolve_seed(None, Config.from_dict({}))
+            resolve_seed(None, parse_config({}))
 
     def test_out_of_range_flag(self):
         with pytest.raises(ConfigError):
-            resolve_seed(2**64, Config.from_dict({}))
+            resolve_seed(2**64, parse_config({}))
 
     def test_derive_seed_is_stable_and_spread(self):
         a = derive_seed(42, 0)
@@ -380,6 +391,7 @@ MALFORMED = [
     ("mmin", TINY_MMIN, "mmin", {"eps_a": []}),
     ("sweep", TINY_SWEEP, None, {"noise": 5}),
     ("mmin", TINY_MMIN, None, {"rates": {"source": "calibrated"}}),
+    ("mmin", TINY_MMIN, None, {"rates": {"source": ["builtin"]}}),
 ]
 
 
@@ -624,6 +636,40 @@ def test_rate_cap_moves_with_the_rate_source(tmp_path):
     payload = dict(TINY_MMIN, mmin=dict(TINY_MMIN["mmin"], eps_g=[0.25]))
     with pytest.warns(RuntimeWarning, match="clamped"):
         assert main(["mmin", "--config", write_config(tmp_path, payload)]) == 0
+
+
+@pytest.mark.parametrize("eps_g", [0.0, 1e-4])
+@pytest.mark.parametrize("key,value", [
+    ("eps_s_per_eps_g", "-1"),
+    ("eps_d_per_eps_g", "NaN"),
+    ("eps_o_per_eps_g", "Infinity"),
+])
+@pytest.mark.parametrize("source", ["explicit", "calibrated"])
+@pytest.mark.parametrize("command", ["sweep", "mmin"])
+def test_negative_or_non_finite_coefficient_is_named(tmp_path, capsys, command,
+                                                     source, key, value, eps_g):
+    # a coefficient c gives the rate c * eps_g, so c must be finite and
+    # >= 0 even where eps_g = 0 makes the rate itself look harmless; JSON
+    # accepts NaN and Infinity, and the message names the key given
+    coeffs = {**BUILTIN_COEFFS, key: json.loads(value)}
+    base, section = {"sweep": (TINY_SWEEP, "sweep"),
+                     "mmin": (TINY_MMIN, "mmin")}[command]
+    payload = dict(base, **{section: dict(base[section], eps_g=[eps_g])})
+    if source == "explicit":
+        payload["rates"] = {"source": "explicit", **coeffs}
+    else:
+        record = tmp_path / "cal.json"
+        record.write_text(json.dumps(coeffs))
+        payload["rates"] = {"source": "calibrated", "record": str(record)}
+    assert main([command, "--config", write_config(tmp_path, payload),
+                 "--threads", "1", "--out", str(tmp_path / "out")]) == 3
+    captured = capsys.readouterr()
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("config error: ")
+    assert captured.err.endswith(
+        f"{key} must be finite and >= 0, got {float(coeffs[key])!r}\n")
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
 
 
 def test_calibrate_validates_whole_grid_before_sampling(tmp_path, monkeypatch):

@@ -71,15 +71,9 @@ class TestConvolution:
         out = convolve_bit_flips(delta0(), 1.0)
         assert out[127] == pytest.approx(1.0)
 
-    def test_single_qubit_rate_splits_the_mass(self):
-        probs = [0.3, 0, 0, 0, 0, 0, 0]
-        out = convolve_bit_flips(delta0(), probs)
-        assert out[0] == pytest.approx(0.7)
-        assert out[1] == pytest.approx(0.3)
-
     def test_preserves_normalization(self):
         d = np.random.default_rng(1).dirichlet(np.ones(128))
-        out = convolve_bit_flips(d, [0.1, 0.2, 0, 0.05, 0.3, 0.01, 0.4])
+        out = convolve_bit_flips(d, 0.13)
         assert out.sum() == pytest.approx(1.0, rel=1e-12)
 
 

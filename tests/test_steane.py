@@ -27,13 +27,24 @@ def test_parity_rows_are_the_documented_qubit_sets():
 
 def test_h_matrix_columns_are_binary_qubit_indices():
     for q in range(1, 8):
-        col = steane.H[:, q - 1]
-        assert int(col[0]) + 2 * int(col[1]) + 4 * int(col[2]) == q
+        col = [(row >> (q - 1)) & 1 for row in steane.PARITY_ROWS]
+        assert col[0] + 2 * col[1] + 4 * col[2] == q
 
 
 def test_syndrome_table_matches_naive_recomputation():
     for e in range(128):
         assert steane.syndrome_of(e) == naive_syndrome(e)
+
+
+def test_syndrome_table_is_the_xor_of_flipped_qubit_indices():
+    # independent of PARITY_ROWS: with column q the binary expansion of q,
+    # the syndrome of a pattern is the XOR of its 1-based qubit indices
+    for e in range(128):
+        s = 0
+        for q in range(7):
+            if (e >> q) & 1:
+                s ^= q + 1
+        assert steane.SYNDROME[e] == s
 
 
 def test_single_error_on_qubit_i_has_syndrome_i():
