@@ -126,6 +126,8 @@ def parse_config(raw: dict) -> dict:
     unknown = set(rates) - rate_keys[source]
     if unknown:
         raise ConfigError(f"unknown key(s) in rates: {sorted(unknown)}")
+    if not isinstance(rates.get("record", ""), str):
+        raise ConfigError("rates.record must be a string path")
     out = raw.get("out")
     if out is not None and not isinstance(out, str):
         raise ConfigError("out must be a string path")

@@ -8,13 +8,15 @@ syndrome integer q, and lookup decoding is just "flip qubit s".  The check
 matrix is written once, as the rows in PARITY_ROWS: SYNDROME is computed
 from them and every other syndrome table is built on SYNDROME, except
 DECODE, which reads the column convention backwards.
+
+The module holds tables only.  Callers index them: e ^ DECODE[SYNDROME[e]] is
+the residual after one ideal correction, and RESIDUAL_LOGICAL[e] its verdict.
 """
 from __future__ import annotations
 
 import numpy as np
 
-N_QUBITS = 7
-N_PATTERNS = 1 << N_QUBITS
+N_PATTERNS = 128
 
 # Rows of the parity-check matrix as bit masks over qubits 1..7 (bit q-1 set
 # iff qubit q participates).  Row k checks the 2^k bit of the qubit index.
@@ -45,49 +47,3 @@ CLASS = SYNDROME | (WEIGHT & 1) << 3
 # form the X-stabilizer group, the odd-weight ones are the logical-X coset.
 CODEWORDS = tuple(int(e) for e in np.flatnonzero(SYNDROME == 0))
 STABILIZER_PATTERNS = tuple(e for e in CODEWORDS if WEIGHT[e] % 2 == 0)
-LOGICAL_X_PATTERNS = tuple(e for e in CODEWORDS if WEIGHT[e] % 2 == 1)
-
-
-def pattern_from_qubits(qubits) -> int:
-    """Build a pattern int from 1-based qubit numbers."""
-    e = 0
-    for q in qubits:
-        if not 1 <= q <= N_QUBITS:
-            raise ValueError(f"qubit index out of range: {q}")
-        e ^= 1 << (q - 1)
-    return e
-
-
-def pattern_weight(e: int) -> int:
-    return int(WEIGHT[e])
-
-
-def syndrome_of(e: int) -> int:
-    """3-bit syndrome of an error pattern, as an integer in [0, 8)."""
-    if not 0 <= e < N_PATTERNS:
-        raise ValueError(f"pattern out of range: {e}")
-    return int(SYNDROME[e])
-
-
-def decode_syndrome(s: int) -> int:
-    """Minimum-weight correction pattern for a syndrome (weight 0 or 1)."""
-    if not 0 <= s < 8:
-        raise ValueError(f"syndrome out of range: {s}")
-    return int(DECODE[s])
-
-
-def apply_ideal_qec(e: int) -> tuple[int, bool]:
-    """Noiselessly decode and correct.
-
-    Returns (residual pattern, verdict): the residual always has syndrome 0,
-    and the verdict says whether it is a logical X (odd-weight codeword).
-    """
-    residual = e ^ decode_syndrome(syndrome_of(e))
-    return residual, bool(RESIDUAL_LOGICAL[e])
-
-
-def residual_is_logical(e: int) -> bool:
-    """True iff ideal decoding of this pattern leaves a logical X."""
-    if not 0 <= e < N_PATTERNS:
-        raise ValueError(f"pattern out of range: {e}")
-    return bool(RESIDUAL_LOGICAL[e])

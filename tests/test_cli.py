@@ -392,6 +392,8 @@ MALFORMED = [
     ("sweep", TINY_SWEEP, None, {"noise": 5}),
     ("mmin", TINY_MMIN, None, {"rates": {"source": "calibrated"}}),
     ("mmin", TINY_MMIN, None, {"rates": {"source": ["builtin"]}}),
+    *(("mmin", TINY_MMIN, None, {"rates": {"source": "calibrated", "record": bad}})
+      for bad in (["a.json"], {"x": 1}, 3.5, 2, 1, True)),
 ]
 
 

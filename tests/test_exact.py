@@ -81,8 +81,7 @@ class TestTransfer:
     def test_noiseless_transfer_is_the_ideal_decoder(self):
         t = syndrome_extraction_transfer(NoiseParams(eps=0.0))
         for e in range(128):
-            residual, _ = steane.apply_ideal_qec(e)
-            assert t[e, residual] == 1.0
+            assert t[e, e ^ steane.DECODE[steane.SYNDROME[e]]] == 1.0
             assert t[e].sum() == 1.0
 
     def test_rows_are_distributions(self):
@@ -217,7 +216,7 @@ class TestBlockEvolution:
     def test_never_skip_applies_the_transfer(self):
         t = syndrome_extraction_transfer(NoiseParams(eps=0.0))
         d = np.zeros(128)
-        d[steane.pattern_from_qubits([3])] = 1.0
+        d[0b0000100] = 1.0  # an X error on qubit 3
         out = block_output_distribution(d, t, gate_flip=0.0, eps_a=0.0)
         assert out[0] == pytest.approx(1.0)
 
@@ -245,8 +244,8 @@ class TestEndToEnd:
         q = parity_flip_prob(noise.eps_g, n_gates)
         expect = 0.0
         for e in range(128):
-            w = steane.pattern_weight(e)
-            if steane.residual_is_logical(e):
+            w = int(steane.WEIGHT[e])
+            if steane.RESIDUAL_LOGICAL[e]:
                 expect += q**w * (1 - q) ** (7 - w)
         for m in (4, 5, 10):
             got = logical_error_exact(noise, 1.0, n_gates, m)

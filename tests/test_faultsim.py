@@ -125,7 +125,7 @@ class TestVectorizedRound:
         # row of the same input pattern: only the sampled side fluctuates
         noise = NoiseParams(eps=0.05)
         syn_probs = accepted_distribution(default_circuit(), noise).syndrome_law
-        pattern = np.uint8(steane.pattern_from_qubits([2, 6]))
+        pattern = np.uint8(0b0100010)  # X errors on qubits 2 and 6
         n = 30_000
         faults = sample_round_faults(np.random.default_rng(3), n, noise, syn_probs)
         outs = np.full(n, round_output(pattern, 0, 0), dtype=np.uint8)
@@ -145,7 +145,7 @@ class TestVectorizedRound:
 
     def test_noiseless_round_is_the_ideal_decoder(self):
         for e in range(128):
-            residual, _ = steane.apply_ideal_qec(e)
+            residual = e ^ steane.DECODE[steane.SYNDROME[e]]
             assert round_output(np.uint8(e), 0, 0) == residual
         faults = sample_round_faults(
             np.random.default_rng(0), 1000, NoiseParams(eps=0.0), CLEAN_ANCILLA)
@@ -314,9 +314,9 @@ class TestBatchKernel:
         )
         q = parity_flip_prob(noise.eps_g, cfg.n_gates)
         expect = sum(
-            q ** steane.pattern_weight(e) * (1 - q) ** (7 - steane.pattern_weight(e))
+            q ** int(steane.WEIGHT[e]) * (1 - q) ** (7 - int(steane.WEIGHT[e]))
             for e in range(128)
-            if steane.residual_is_logical(e)
+            if steane.RESIDUAL_LOGICAL[e]
         )
         est = estimate_many([cfg])[0]
         sigma = np.sqrt(expect * (1 - expect) / cfg.shots)

@@ -1,6 +1,7 @@
 """The built-in self checks must all pass on a healthy install."""
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from qec_cadence import exact, faultsim, model, selfcheck, steane
@@ -88,9 +89,25 @@ def test_approx_limit_rejects_a_slipped_coefficient(monkeypatch):
     assert not result.passed, result.detail
 
 
-def test_code_tables_reject_a_decoder_that_corrects_nothing(monkeypatch):
-    monkeypatch.setattr(steane, "apply_ideal_qec",
-                        lambda e: (e, bool(steane.RESIDUAL_LOGICAL[e])))
+def _syndrome_with_rows_0_and_1_swapped():
+    rows = (steane.PARITY_ROWS[1], steane.PARITY_ROWS[0], steane.PARITY_ROWS[2])
+    return np.array(
+        [sum(((e & row).bit_count() & 1) << k for k, row in enumerate(rows))
+         for e in range(128)],
+        dtype=np.uint8,
+    )
+
+
+@pytest.mark.parametrize("table,mutant", [
+    ("DECODE", np.zeros(8, dtype=np.uint8)),
+    ("SYNDROME", _syndrome_with_rows_0_and_1_swapped()),
+], ids=["decode-zeros", "syndrome-rows-0-1-swapped"])
+def test_code_tables_reject_a_decoder_that_corrects_nothing(monkeypatch, table,
+                                                           mutant):
+    # pattern 1 (qubit 1 alone) is the first each mutant leaves uncorrected:
+    # zeros flip nothing, and the swapped rows read its syndrome as 2 and
+    # flip qubit 2 instead
+    monkeypatch.setattr(steane, table, mutant)
     result = selfcheck._check_code_tables()
     assert not result.passed
     assert result.detail == "weight-1 pattern 1 not corrected"
