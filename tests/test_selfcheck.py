@@ -113,6 +113,33 @@ def test_code_tables_reject_a_decoder_that_corrects_nothing(monkeypatch, table,
     assert result.detail == "weight-1 pattern 1 not corrected"
 
 
+def _syndrome_with_pattern_127_flipped():
+    mutant = steane.SYNDROME.copy()
+    mutant[127] ^= 1
+    return mutant
+
+
+# one mutant per later property, each clean on the properties before it
+@pytest.mark.parametrize("table,mutant,detail", [
+    ("RESIDUAL_LOGICAL", np.zeros(128, dtype=bool),
+     "weight-2 pattern 3 not logical"),
+    # weights 0 and 1 read clean, weight 2 logical, but stabilizer 30
+    # (weight 4) moves pattern 0 into the logical verdict
+    ("RESIDUAL_LOGICAL", steane.WEIGHT >= 2,
+     "verdict not stabilizer-invariant at 0^30"),
+    # only pairs that XOR to 127 see the flip; row 0 never does, as
+    # SYNDROME[0] == 0
+    ("SYNDROME", _syndrome_with_pattern_127_flipped(),
+     "syndrome not linear at 1,126"),
+], ids=["verdict-never-logical", "verdict-by-weight", "syndrome-127-flipped"])
+def test_code_tables_name_the_first_failing_property(monkeypatch, table, mutant,
+                                                     detail):
+    monkeypatch.setattr(steane, table, mutant)
+    result = selfcheck._check_code_tables()
+    assert not result.passed
+    assert result.detail == detail
+
+
 def test_ancilla_audit_fails_on_a_harmful_accepted_fault(monkeypatch):
     # the unverified circuit's first finding, reported for every circuit
     first = single_fault_audit(strip_verification(default_circuit()))[:1]
