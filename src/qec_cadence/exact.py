@@ -14,13 +14,14 @@ the 128-state chain lumps onto those classes with no loss.  A run is the
 16x16 block kernel K = eps_a*G + (1 - eps_a)*(G @ T16) raised to the
 number of blocks, G being the m gate layers of a block and T16 the lumped
 round.  R takes the readout and coupling faults in through their syndrome
-laws.  A cadence scan calls many (eps_a, m) points at one setting, and
+laws, and its ancilla from default_circuit(), the circuit estimate_many
+samples, so this layer is the reference for exactly what the sampler
+samples.  A cadence scan calls many (eps_a, m) points at one setting, and
 what does not depend on eps_a is kept in two bounded LRU caches, each
 entry read-only so no caller can change what the next one reads: R per
-(noise, circuit) as passed (32 tables; the default circuit=None hashes no
-circuit), and the halves G and G @ T16 per (noise, circuit, m) (128
-pairs, so a 66-setting cadence table fits).  A call then only mixes the
-halves at its eps_a and powers K with the very products of
+noise setting (32 tables), and the halves G and G @ T16 per (noise, m)
+(128 pairs, so a 66-setting cadence table fits).  A call then only mixes
+the halves at its eps_a and powers K with the very products of
 np.linalg.matrix_power, so its value is bit for bit that of a kernel
 assembled afresh.  Nothing keyed on eps_a or the number of gates is kept.
 On a 2-core x86 VM (numpy 2.4.6) a call on cached halves costs
@@ -35,7 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ancilla import AncillaCircuit, accepted_distribution, default_circuit
+from .ancilla import accepted_distribution, default_circuit
 from .model import Schedule, as_rate
 from .noise import NoiseParams, parity_flip_prob
 from .steane import CLASS, DECODE, N_PATTERNS, RESIDUAL_LOGICAL, SYNDROME, WEIGHT
@@ -75,19 +76,16 @@ def convolve_bit_flips(dist: np.ndarray, p: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _syndrome_response(
-    noise: NoiseParams, circuit: AncillaCircuit | None
-) -> np.ndarray:
+def _syndrome_response(noise: NoiseParams) -> np.ndarray:
     """8x128 table R[s, e] = P(a round on true syndrome s flips the data by e).
 
     Covers one performed round: verified ancilla (exact accepted
     distribution), transversal data->ancilla CNOTs with correlated two-qubit
     faults after the ideal copy, noisy ancilla readout, syndrome decode and
     Pauli-frame correction of the data.  R depends on nothing else, so it is
-    built once per (noise, circuit) as passed and shared read-only.
+    built once per noise setting and shared read-only.
     """
-    circuit = circuit or default_circuit()
-    prepared = accepted_distribution(circuit, noise).syndrome_law
+    prepared = accepted_distribution(default_circuit(), noise).syndrome_law
     q, p, k = noise.meas_flip, noise.cnot_flip, np.arange(8)
     # P(readout flips offset the syndrome by s): flips of weight k
     readout = (q**k * (1.0 - q) ** (7 - k)) @ _READOUT
@@ -105,11 +103,9 @@ def _syndrome_response(
     return response
 
 
-def syndrome_extraction_transfer(
-    noise: NoiseParams, circuit: AncillaCircuit | None = None
-) -> np.ndarray:
+def syndrome_extraction_transfer(noise: NoiseParams) -> np.ndarray:
     """128x128 matrix T with T[x_in, x_out] = P(round maps x_in to x_out)."""
-    return _syndrome_response(noise, circuit)[SYNDROME[:, None], _XOR]
+    return _syndrome_response(noise)[SYNDROME[:, None], _XOR]
 
 
 def block_output_distribution(
@@ -127,14 +123,12 @@ def block_output_distribution(
 
 
 @lru_cache(maxsize=128)
-def _kernel_halves(
-    noise: NoiseParams, circuit: AncillaCircuit | None, m: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _kernel_halves(noise: NoiseParams, m: int) -> tuple[np.ndarray, np.ndarray]:
     """(G, G @ T16), read-only: one block with its round skipped, and done."""
     flip, w = parity_flip_prob(noise.eps_g, m), np.arange(8)
     gate = ((flip**w * (1.0 - flip) ** (7 - w)) @ _GATE_CLASSES)[_XOR16]
     # lumped round T16[u, v] = R16[u & 7, u ^ v]; u & 7 is the syndrome of u
-    response = _syndrome_response(noise, circuit) @ _ONEHOT
+    response = _syndrome_response(noise) @ _ONEHOT
     done = gate @ response[np.arange(16)[:, None] & 7, _XOR16]
     gate.setflags(write=False)
     done.setflags(write=False)
@@ -159,11 +153,7 @@ def _matrix_power(kernel: np.ndarray, n: int) -> np.ndarray:
 
 
 def logical_error_exact(
-    noise: NoiseParams,
-    eps_a: float,
-    n_gates: int,
-    m: int,
-    circuit: AncillaCircuit | None = None,
+    noise: NoiseParams, eps_a: float, n_gates: int, m: int
 ) -> float:
     """Exact end-to-end logical X error probability of a full run.
 
@@ -175,22 +165,20 @@ def logical_error_exact(
     blocks = Schedule(n_gates=n_gates, m=m).blocks
     if not 0.0 <= as_rate("eps_a", eps_a) <= 1.0:
         raise ValueError(f"eps_a must be in [0, 1], got {eps_a}")
-    gate, done = _kernel_halves(noise, circuit, m)
+    gate, done = _kernel_halves(noise, m)
     kernel = eps_a * gate + (1.0 - eps_a) * done  # exactly gate at eps_a = 1
     run = _matrix_power(kernel, blocks)
     return float(run[0, _LOGICAL].sum())
 
 
-def single_round_rates(
-    noise: NoiseParams, circuit: AncillaCircuit | None = None
-) -> tuple[float, float]:
+def single_round_rates(noise: NoiseParams) -> tuple[float, float]:
     """(rate_two, rate_one) of one performed round, exactly.
 
     rate_two: input = one data error, output decodes to a logical flip,
     averaged over the 7 input positions.  rate_one: same inputs, output is a
     weight-1 pattern.  These are the quantities the calibration fits.
     """
-    transfer = syndrome_extraction_transfer(noise, circuit)
+    transfer = syndrome_extraction_transfer(noise)
     two = one = 0.0
     for i in range(7):
         row = transfer[1 << i]

@@ -52,8 +52,10 @@ then its own round.  The walk orders a chunk's shots by event count once,
 so the shots with a k-th event are a prefix, lays the events out
 rank-major, and takes every shot's k-th event at once, as one slice, for
 k = 1, 2, ...  After a shot's last event nothing is
-drawn: a correction never changes the logical verdict.  Work scales with
-faults, not with shots x blocks.
+drawn: a correction never changes the logical verdict.  Work and memory
+scale with faults, not with shots x blocks: eps_a**j is tabulated for
+gaps of up to 2**16 rounds (_STAY_ENTRIES), and a longer gap takes
+np.power for its own event, the same bits.
 
 Class lanes.  The walk holds no pattern, only each shot's class
 c = (s, p), its syndrome s and weight parity p (steane.CLASS).  The class
@@ -110,6 +112,11 @@ from .steane import CLASS, DECODE, SYNDROME
 BATCH_SHOTS = 16384
 # Expected faults per chunk of blocks: bounds the event arrays at any rate.
 CHUNK_EVENTS = 1 << 16
+# Entries of the eps_a**j table the walk reads for a gap of j fault-free
+# rounds: every gap of a run of up to 2**16 blocks.  A longer gap takes
+# np.power for its event, the same bits; a full table would hold 8 bytes
+# per block and config, in every worker.
+_STAY_ENTRIES = (1 << 16) + 1
 
 
 def derive_seed(master_seed: int, index: int) -> int:
@@ -387,7 +394,8 @@ def _simulate_batch(
     chunk = _chunk_blocks(cfg, n, p_gate, syn_probs)
     eps_a = [c.eps_a for c in group]
     # a dirty shot stays uncorrected through j fault-free rounds w.p. eps_a**j
-    stay = np.array(eps_a, dtype=float)[:, None] ** np.arange(cfg.blocks + 1)
+    stay = np.array(eps_a, dtype=float)[:, None] ** np.arange(
+        min(cfg.blocks + 1, _STAY_ENTRIES))
     lane = [np.uint16(0xF << 4 * (i % LANES)) for i in range(len(group))]
     correction = _lane_correction()
     state = np.zeros((-(-len(group) // LANES), n), dtype=np.uint16)
@@ -414,12 +422,17 @@ def _simulate_batch(
         gap[start] = block - settled[owner] - 1
         settled[owner] = block + key[start + count - 1] - key[start]
         u_fix, u_perform = rng.random((2, key.size))
+        # gaps past the table; a run of up to _STAY_ENTRIES - 1 blocks has none
+        far = (np.flatnonzero(gap >= _STAY_ENTRIES)
+               if cfg.blocks >= _STAY_ENTRIES else ())
         # each word's fix and perform decisions, as masks of its lanes' bits
         fix = np.zeros((len(state), key.size), dtype=np.uint16)
         perform = np.zeros_like(fix)
         threshold, hit = np.empty(key.size), np.empty(key.size, dtype=bool)
         for i, bits in enumerate(lane):
             stay[i].take(gap, out=threshold, mode="clip")
+            if len(far):
+                threshold[far] = np.power(eps_a[i], gap[far])
             fix[i // LANES] |= np.greater_equal(u_fix, threshold, out=hit) * bits
             perform[i // LANES] |= np.greater_equal(u_perform, eps_a[i], out=hit) * bits
         del gap, u_fix, u_perform

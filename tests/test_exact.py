@@ -96,10 +96,28 @@ class TestTransfer:
             assert t[1 << q, 0] > 0.95
 
 
-CIRCUITS = {
-    "default": default_circuit(),
-    "stripped": strip_verification(default_circuit()),
-}
+@pytest.fixture
+def unverified(monkeypatch, cold_response_cache):
+    """The exact layer on the preparation circuit without verification.
+
+    Every exact round reads default_circuit(); for the test it reads the
+    stripped circuit instead, from cold caches, so no table of the shipped
+    circuit is read and none of the stripped one is left behind.
+    """
+    stripped = strip_verification(default_circuit())
+    monkeypatch.setattr(exact, "default_circuit", lambda: stripped)
+    return stripped
+
+
+@pytest.fixture
+def circuit(request):
+    """The circuit the exact layer reads: "default" or "stripped"."""
+    if request.param == "stripped":
+        return request.getfixturevalue("unverified")
+    return default_circuit()
+
+
+CIRCUITS = ["default", "stripped"]
 
 
 def enumerated_rows(noise, circuit, inputs):
@@ -156,38 +174,38 @@ class TestTransferStructure:
         {}, {"p_meas": 0.5}, {"p_meas": 0.0},
         {"include_init_error": False}, {"wait_scale": 0.0},
     ], ids=str)
-    @pytest.mark.parametrize("circuit", sorted(CIRCUITS))
+    @pytest.mark.parametrize("circuit", CIRCUITS, indirect=True)
     def test_response_matches_the_128_state_formula(self, eps, options, circuit):
         # readout and coupling enter through syndrome laws; the table must
         # not move beyond rounding, and keep its exact zeros
         noise = NoiseParams(eps=eps, **options)
-        got = exact._syndrome_response(noise, CIRCUITS[circuit])
-        want = convolved_response(noise, CIRCUITS[circuit])
+        got = exact._syndrome_response(noise)
+        want = convolved_response(noise, circuit)
         assert np.array_equal(got == 0, want == 0)
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
 
     @pytest.mark.parametrize("eps", [1e-3, 1e-2])
-    @pytest.mark.parametrize("circuit", sorted(CIRCUITS))
+    @pytest.mark.parametrize("circuit", CIRCUITS, indirect=True)
     def test_rows_match_brute_force_enumeration(self, eps, circuit):
         noise = NoiseParams(eps=eps)
         inputs = [0] + [1 << q for q in range(7)] + [0b0010010]
-        t = syndrome_extraction_transfer(noise, CIRCUITS[circuit])
-        want = enumerated_rows(noise, CIRCUITS[circuit], inputs)
+        t = syndrome_extraction_transfer(noise)
+        want = enumerated_rows(noise, circuit, inputs)
         np.testing.assert_allclose(t[inputs], want, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("eps", [1e-4, 1e-2])
-    @pytest.mark.parametrize("circuit", sorted(CIRCUITS))
+    @pytest.mark.parametrize("circuit", CIRCUITS, indirect=True)
     def test_invariant_under_codeword_translation(self, eps, circuit):
         # a round sees the data only through its syndrome:
         # T[x ^ c, y ^ c] == T[x, y] for every Hamming codeword c
-        t = syndrome_extraction_transfer(NoiseParams(eps=eps), CIRCUITS[circuit])
+        t = syndrome_extraction_transfer(NoiseParams(eps=eps))
         idx = np.arange(128)
         assert len(steane.CODEWORDS) == 16
         for c in steane.CODEWORDS:
             assert np.array_equal(t[np.ix_(idx ^ c, idx ^ c)], t), c
 
     @pytest.mark.parametrize("eps", [1e-4, 1e-2])
-    @pytest.mark.parametrize("circuit", sorted(CIRCUITS))
+    @pytest.mark.parametrize("circuit", CIRCUITS, indirect=True)
     def test_chain_lumps_onto_stabilizer_classes(self, eps, circuit):
         # the 16-class chain logical_error_exact runs is exact: classes are
         # the cosets of the X-stabilizers, the verdict is a class function,
@@ -197,7 +215,7 @@ class TestTransferStructure:
         for x in range(128):
             assert np.array_equal(cls[idx ^ x], cls ^ cls[x]), x
         assert tuple(np.flatnonzero(cls == 0)) == steane.STABILIZER_PATTERNS
-        t = syndrome_extraction_transfer(NoiseParams(eps=eps), CIRCUITS[circuit])
+        t = syndrome_extraction_transfer(NoiseParams(eps=eps))
         lumped = np.stack([t[:, cls == b].sum(axis=1) for b in range(16)], axis=1)
         for a in range(16):
             members = cls == a
@@ -293,14 +311,13 @@ class TestKernelPower:
                         rel=1e-12,
                     ), (eps_a, m, n_gates)
 
-    def test_power_equals_block_by_block_without_verification(self):
+    def test_power_equals_block_by_block_without_verification(self, unverified):
         noise = NoiseParams(eps=1e-2)
-        circuit = strip_verification(default_circuit())
-        transfer = syndrome_extraction_transfer(noise, circuit)
+        transfer = syndrome_extraction_transfer(noise)
         for eps_a in (0.0, 0.3):
             for m in (1, 3, 5):
                 assert logical_error_exact(
-                    noise, eps_a, 30, m, circuit
+                    noise, eps_a, 30, m
                 ) == pytest.approx(
                     block_by_block(noise, transfer, eps_a, 30, m), rel=1e-12
                 ), (eps_a, m)
@@ -323,7 +340,7 @@ class TestKernelPower:
 EXACT_CACHES = (exact._syndrome_response, exact._kernel_halves)
 
 
-def kernel_afresh(noise, eps_a, n_gates, m, circuit=None):
+def kernel_afresh(noise, eps_a, n_gates, m):
     """The run with its block kernel assembled on every call.
 
     The reference the cached halves and the in-module power must match
@@ -333,19 +350,20 @@ def kernel_afresh(noise, eps_a, n_gates, m, circuit=None):
     flip, w = parity_flip_prob(noise.eps_g, m), np.arange(8)
     gate = ((flip**w * (1.0 - flip) ** (7 - w)) @ exact._GATE_CLASSES)[
         exact._XOR16]
-    response = exact._syndrome_response(noise, circuit) @ exact._ONEHOT
+    response = exact._syndrome_response(noise) @ exact._ONEHOT
     done = gate @ response[np.arange(16)[:, None] & 7, exact._XOR16]
     kernel = eps_a * gate + (1.0 - eps_a) * done
     run = np.linalg.matrix_power(kernel, n_gates // m)
     return float(run[0, exact._LOGICAL].sum())
 
 
+# (noise options, whether the exact layer reads the unverified circuit)
 SHAPES = {
-    "default": ({}, None),
-    "p_meas": ({"p_meas": 0.0}, None),
-    "wait_scale": ({"wait_scale": 0.0}, None),
-    "no_init_error": ({"include_init_error": False}, None),
-    "stripped": ({}, CIRCUITS["stripped"]),
+    "default": ({}, False),
+    "p_meas": ({"p_meas": 0.0}, False),
+    "wait_scale": ({"wait_scale": 0.0}, False),
+    "no_init_error": ({"include_init_error": False}, False),
+    "stripped": ({}, True),
 }
 
 
@@ -357,17 +375,18 @@ class TestIdentityPin:
     # N 12, m 4, eps_a 0.05 (numpy 2.4.6 on x86).
 
     @pytest.mark.parametrize("shape", sorted(SHAPES))
-    def test_cached_kernel_gives_the_same_bits(self, shape):
-        options, circuit = SHAPES[shape]
+    def test_cached_kernel_gives_the_same_bits(self, shape, request):
+        options, stripped = SHAPES[shape]
+        if stripped:
+            request.getfixturevalue("unverified")
         for eps_g in (1e-7, 1e-4, 1e-2):
             noise = NoiseParams.from_eps_g(eps_g, **options)
             for blocks in (1, 2, 3, 4, 5, 7, 8, 105, 840):
                 for m in (1, 4):
                     for eps_a in (0.0, 0.05, 0.3, 1.0):
                         n_gates = blocks * m
-                        got = logical_error_exact(
-                            noise, eps_a, n_gates, m, circuit)
-                        want = kernel_afresh(noise, eps_a, n_gates, m, circuit)
+                        got = logical_error_exact(noise, eps_a, n_gates, m)
+                        want = kernel_afresh(noise, eps_a, n_gates, m)
                         assert got == want, (eps_g, blocks, m, eps_a)
 
 
@@ -394,7 +413,7 @@ class TestCallsShareNoState:
         assert logical_error_exact(noise, 0.3, 30, 3) == before
         assert single_round_rates(noise) == rates_before
 
-    def test_noise_settings_and_circuits_get_their_own_entries(self):
+    def test_noise_settings_and_circuits_get_their_own_entries(self, request):
         default = NoiseParams(eps=1e-2)
         cached = logical_error_exact(default, 0.3, 30, 3)
         for other in (
@@ -403,8 +422,8 @@ class TestCallsShareNoState:
             NoiseParams(eps=1e-2, include_init_error=False),
         ):
             assert logical_error_exact(other, 0.3, 30, 3) != cached, other
-        stripped = strip_verification(default_circuit())
-        assert logical_error_exact(default, 0.3, 30, 3, stripped) != cached
+        request.getfixturevalue("unverified")
+        assert logical_error_exact(default, 0.3, 30, 3) != cached
 
     def test_a_scan_builds_its_round_once(self, monkeypatch, cold_response_cache):
         builds = []
@@ -419,13 +438,22 @@ class TestCallsShareNoState:
             for m in range(1, 9):
                 logical_error_exact(noise, k * 0.05, 840, m)
         assert builds == [noise]
-        table = exact._syndrome_response(noise, None)
+        table = exact._syndrome_response(noise)
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[0, 0] = 1.0
 
+    def test_every_entry_point_reads_one_table(self, cold_response_cache):
+        # the run, the 128-state round and the single-round rates of one
+        # noise setting share one response table
+        noise = NoiseParams.from_eps_g(1e-4)
+        logical_error_exact(noise, 0.3, 840, 4)
+        syndrome_extraction_transfer(noise)
+        single_round_rates(noise)
+        assert exact._syndrome_response.cache_info().currsize == 1
+
     def test_a_scan_builds_each_blocks_halves_once(self, cold_response_cache):
-        # the eps_a-free halves (G, G @ T16) are kept per (noise, circuit, m):
+        # the eps_a-free halves (G, G @ T16) are kept per (noise, m):
         # 11 eps_a x 8 m at one noise setting builds 8 pairs, read-only
         noise = NoiseParams.from_eps_g(1e-4)
         for k in range(11):
@@ -435,7 +463,7 @@ class TestCallsShareNoState:
         assert (info.misses, info.hits) == (8, 80)
         assert info.maxsize >= 128
         for m in range(1, 9):
-            for half in exact._kernel_halves(noise, None, m):
+            for half in exact._kernel_halves(noise, m):
                 assert half.shape == (16, 16)
                 assert not half.flags.writeable
                 with pytest.raises(ValueError):

@@ -354,6 +354,19 @@ class TestChunkCarry:
         sigma = np.sqrt(p_exact * (1 - p_exact) / cfg.shots)
         assert abs(est.p_hat - p_exact) < 5 * sigma
 
+    @pytest.mark.parametrize("entries", [1, 4])
+    def test_gaps_past_the_skip_table_keep_every_count(self, monkeypatch, entries):
+        # a gap past the eps_a**j table takes np.power, the same bits, so a
+        # table cut to a few entries gives every count the full one gives
+        cfgs = [make_cfg(n_gates=n_gates, m=m, eps_a=a, noise=NoiseParams(eps=eps),
+                         master_seed=13)
+                for n_gates, m, eps in ((12, 3, 0.02), (120, 1, 2e-3), (240, 4, 1e-3))
+                for a in (0.0, 0.3, 0.9, 1.0)]
+        full = estimate_many(cfgs)
+        assert len({est.failures for est in full}) > 4
+        monkeypatch.setattr(faultsim, "_STAY_ENTRIES", entries)
+        assert estimate_many(cfgs) == full
+
 
 class TestSharedDraws:
     """Configs that differ in eps_a alone share each batch's draws.
@@ -540,13 +553,19 @@ class TestPatternOracle:
 
 
 class TestHighRates:
-    def test_batch_memory_does_not_grow_with_blocks_or_rate(self):
+    @pytest.mark.parametrize("n_gates, noise", [
         # the top of every rate range, ~7 faults per shot-block: all the
         # batch's fault positions at once would take ~900 MB, one block's
         # ~1 MB per array; chunked generation keeps the peak near the latter
+        (1000, NoiseParams(eps=0.3, p_meas=0.5)),
+        # 10**7 blocks at a rate so low that one chunk holds them all: an
+        # eps_a**j table over every gap would take 80 MB
+        (10**7, NoiseParams.from_eps_g(1e-9)),
+    ], ids=["hot", "long"])
+    def test_batch_memory_does_not_grow_with_blocks_or_rate(self, n_gates, noise):
         cfg = TrajectoryConfig(
-            n_gates=1000, m=1, eps_a=0.5,
-            noise=NoiseParams(eps=0.3, p_meas=0.5), shots=16384, master_seed=4,
+            n_gates=n_gates, m=1, eps_a=0.5, noise=noise, shots=16384,
+            master_seed=4,
         )
         syn_probs = accepted_distribution(default_circuit(), cfg.noise).syndrome_law
         tracemalloc.start()

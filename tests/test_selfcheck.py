@@ -67,9 +67,9 @@ def test_sampler_configs_draw_independently(monkeypatch):
 
 
 def test_exact_lumping_rejects_a_round_that_breaks_the_symmetry(monkeypatch):
-    def skewed(noise, circuit=None):
+    def skewed(noise):
         # move one row's mass between two columns; the row still sums to 1
-        t = exact.syndrome_extraction_transfer(noise, circuit)
+        t = exact.syndrome_extraction_transfer(noise)
         t[5, 9] += t[5, 5]
         t[5, 5] = 0.0
         return t
