@@ -178,7 +178,8 @@ def accepted_distribution(
     from circuit.fault_masks.  One-qubit flips that land on the same mask
     merge into one flip by xor_flip_prob; each CNOT fault is a 4-point step
     on {0, a, b, a ^ b} with probability cnot_flip on each non-zero mask.
-    Every step is a sum of non-negative terms.  This is the law of a
+    Every step is a sum of non-negative terms, and a zero-rate step leaves
+    the law as it was, to the bit.  This is the law of a
     hardware loop that retries until verification accepts, and the batch
     sampler draws each round's ancilla from it.  With one verification
     qubit, as in the default circuit, p_accept = (1 + prod(1 - 2 q_j)) / 2
@@ -193,13 +194,11 @@ def accepted_distribution(
         p = 0.0
         for kind in kinds:
             p = xor_flip_prob(p, rate[kind])
-        if p != 0.0:
-            dist = np.array([1.0 - p, p]) @ dist[rows]
+        dist = np.array([1.0 - p, p]) @ dist[rows]
     p = noise.cnot_flip
-    if p != 0.0:
-        law = np.array([1.0 - 3.0 * p, p, p, p])
-        for rows in faults.cnot_rows:
-            dist = law @ dist[rows]
+    law = np.array([1.0 - 3.0 * p, p, p, p])
+    for rows in faults.cnot_rows:
+        dist = law @ dist[rows]
     kept = dist[faults.accepted]
     p_accept = float(kept.sum())
     probs = np.bincount(faults.block, weights=kept, minlength=128) / p_accept
@@ -220,8 +219,8 @@ class AuditFinding:
     weight: int
 
 
-def single_fault_audit(circuit: AncillaCircuit | None = None) -> list[AuditFinding]:
-    """Exhaustive single-X-fault check of the preparation circuit.
+def single_fault_audit(circuit: AncillaCircuit) -> list[AuditFinding]:
+    """Exhaustive single-X-fault check of a preparation circuit.
 
     Reads the final mask of every X-component fault at every location
     from circuit.fault_masks.sites.  A fault is accepted when its mask
@@ -232,7 +231,6 @@ def single_fault_audit(circuit: AncillaCircuit | None = None) -> list[AuditFindi
     data miscorrections.  Equivalently: nonzero syndrome and even weight.
     An empty report means the verification catches everything it must.
     """
-    circuit = circuit or default_circuit()
     verify = sum(1 << q for q in circuit.measured_qubits)
     findings = []
     for k, fault, mask in circuit.fault_masks.sites:

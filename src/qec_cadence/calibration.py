@@ -22,18 +22,19 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .ancilla import accepted_distribution, default_circuit
 from .faultsim import (
+    Z_95,
     derive_seed,
     round_output,
     sample_round_faults,
     wilson_interval,
 )
-from .model import as_count
+from .model import as_count, as_seed
 from .noise import NoiseParams
 from .steane import RESIDUAL_LOGICAL, WEIGHT
 
@@ -133,14 +134,9 @@ class CalibrationPoint:
     rate_one_ci: tuple[float, float]
 
     def to_record(self) -> dict:
-        return {
-            "eps_g": self.eps_g,
-            "shots": self.shots,
-            "rate_two": self.rate_two,
-            "rate_one": self.rate_one,
-            "rate_two_ci": list(self.rate_two_ci),
-            "rate_one_ci": list(self.rate_one_ci),
-        }
+        """Every field by name, each interval as a JSON list."""
+        record = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in record.items()}
 
 
 @dataclass(frozen=True)
@@ -188,7 +184,7 @@ def _slope_and_ci(points, which: str, divisor: float) -> tuple[float, tuple[floa
         rate = getattr(p, which)
         sig = math.sqrt(max(rate * (1.0 - rate), 1.0 / p.shots) / p.shots) / divisor
         var += (p.eps_g * sig) ** 2
-    half = 1.96 * math.sqrt(var) / sxx
+    half = Z_95 * math.sqrt(var) / sxx
     return slope, (slope - half, slope + half)
 
 
@@ -203,8 +199,10 @@ def calibrate(
 
     `shots` is the total per grid point, split over the 7 input positions.
     Seeds are derived per (grid point, input position), so results are
-    deterministic and positions may be fanned out in any order.
+    deterministic and positions may be fanned out in any order.  `seed`
+    must be an integer in [0, 2^64), as a TrajectoryConfig's master seed.
     """
+    as_seed("seed", seed)
     if normalization not in ("per_spectator", "direct"):
         raise ValueError(f"unknown normalization {normalization!r}")
     if not eps_g_grid:

@@ -31,8 +31,8 @@ from .faultsim import TrajectoryConfig, derive_seed, estimate_many
 from .model import (
     Schedule,
     approx_coefficients,
-    as_count,
     as_rate,
+    as_seed,
     grid_argmin,
     m_min,
     pl_second_order,
@@ -81,14 +81,26 @@ class ConfigError(ValueError):
 
 
 def _valid_seed(value) -> int:
-    """`value` as a master seed, an integer in [0, 2^64); ConfigError if not."""
+    """`value` as a master seed (model.as_seed); ConfigError if not one."""
     try:
-        seed = as_count("seed", value)
+        return as_seed("seed", value)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if not 0 <= seed < 2**64:
-        raise ConfigError("seed must be an integer in [0, 2^64)")
-    return seed
+
+
+def _coefficients(given: dict, where: str) -> dict:
+    """The four per-eps_g coefficients of `given`, each finite and >= 0."""
+    missing = [k for k in BUILTIN_COEFFS if k not in given]
+    if missing:
+        raise ConfigError(f"{where} missing {missing}")
+    try:
+        coeffs = {k: as_rate(k, given[k]) for k in BUILTIN_COEFFS}
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+    for k, c in coeffs.items():
+        if not 0.0 <= c < math.inf:
+            raise ConfigError(f"{where}: {k} must be finite and >= 0, got {c!r}")
+    return coeffs
 
 
 def _section(raw: dict, name: str, defaults: dict) -> dict:
@@ -126,8 +138,12 @@ def parse_config(raw: dict) -> dict:
     unknown = set(rates) - rate_keys[source]
     if unknown:
         raise ConfigError(f"unknown key(s) in rates: {sorted(unknown)}")
+    if source == "explicit":
+        _coefficients(rates, "explicit rates")
     if not isinstance(rates.get("record", ""), str):
         raise ConfigError("rates.record must be a string path")
+    if source == "calibrated" and not rates.get("record"):
+        raise ConfigError("rates source 'calibrated' needs a 'record' path")
     out = raw.get("out")
     if out is not None and not isinstance(out, str):
         raise ConfigError("out must be a string path")
@@ -164,35 +180,25 @@ def load_config(path: str | None) -> dict:
 
 
 def rate_coefficients(config: dict) -> dict:
-    """Per-eps_g coefficients {eps_s, eps_o, eps_c, eps_d}, each finite, >= 0."""
-    source = config["rates"]["source"]
-    if source == "builtin":
+    """Per-eps_g coefficients {eps_s, eps_o, eps_c, eps_d}, each finite, >= 0.
+
+    parse_config has checked explicit rates; a calibration record is read
+    here, at command time, and gets the same check.
+    """
+    rates = config["rates"]
+    if rates["source"] == "builtin":
         return dict(BUILTIN_COEFFS)
-    if source == "explicit":
-        given, where = config["rates"], "explicit rates"
-    else:
-        path = config["rates"].get("record")
-        if not path:
-            raise ConfigError("rates source 'calibrated' needs a 'record' path")
-        where = f"calibration record {path}"
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                given = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot load {where}: {exc}") from exc
-        if not isinstance(given, dict):
-            raise ConfigError(f"{where} must be a JSON object")
-    missing = [k for k in BUILTIN_COEFFS if k not in given]
-    if missing:
-        raise ConfigError(f"{where} missing {missing}")
+    if rates["source"] == "explicit":
+        return _coefficients(rates, "explicit rates")
+    where = f"calibration record {rates['record']}"
     try:
-        coeffs = {k: as_rate(k, given[k]) for k in BUILTIN_COEFFS}
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-    for k, c in coeffs.items():
-        if not 0.0 <= c < math.inf:
-            raise ConfigError(f"{where}: {k} must be finite and >= 0, got {c!r}")
-    return coeffs
+        with open(rates["record"], "r", encoding="utf-8") as fh:
+            given = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot load {where}: {exc}") from exc
+    if not isinstance(given, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    return _coefficients(given, where)
 
 
 def _fmt(x: float) -> str:

@@ -99,12 +99,13 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cache
+from itertools import starmap
 from typing import NamedTuple
 
 import numpy as np
 
 from .ancilla import accepted_distribution, default_circuit
-from .model import Schedule, as_count, as_rate
+from .model import Schedule, as_count, as_rate, as_seed
 from .noise import NoiseParams, parity_flip_prob
 from .steane import CLASS, DECODE, SYNDROME
 
@@ -117,6 +118,8 @@ CHUNK_EVENTS = 1 << 16
 # np.power for its event, the same bits; a full table would hold 8 bytes
 # per block and config, in every worker.
 _STAY_ENTRIES = (1 << 16) + 1
+# Two-sided 95% standard normal quantile of every confidence interval.
+Z_95 = 1.96
 
 
 def derive_seed(master_seed: int, index: int) -> int:
@@ -125,12 +128,13 @@ def derive_seed(master_seed: int, index: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-def wilson_interval(failures: int, shots: int, z: float = 1.96) -> tuple[float, float]:
-    """95% (by default) Wilson score interval for a binomial proportion."""
+def wilson_interval(failures: int, shots: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
     if not 0 <= failures <= shots:
         raise ValueError("failures must be in [0, shots]")
+    z = Z_95
     phat = failures / shots
     denom = 1.0 + z * z / shots
     center = (phat + z * z / (2 * shots)) / denom
@@ -155,6 +159,7 @@ class TrajectoryConfig:
             raise ValueError(f"eps_a must be in [0, 1], got {self.eps_a}")
         if as_count("shots", self.shots) < 1:
             raise ValueError("shots must be >= 1")
+        as_seed("master_seed", self.master_seed)
 
     @property
     def blocks(self) -> int:
@@ -466,18 +471,18 @@ def _simulate_batch(
             for i in range(len(group))]
 
 
-def _groups(cfgs: list) -> list[list[int]]:
-    """Indices of the configs that differ in eps_a alone, grouped.
+def _groups(cfgs) -> list[tuple]:
+    """The configs that differ in eps_a alone, grouped, in first-seen order.
 
     Such configs draw the same faults and uniforms in every batch, since
     neither the draws nor the chunk layout read eps_a; _simulate_batch
     runs a group's batch once for all of them.
     """
     groups: dict = {}
-    for i, cfg in enumerate(cfgs):
+    for cfg in cfgs:
         key = (cfg.n_gates, cfg.m, cfg.noise, cfg.shots, cfg.master_seed)
-        groups.setdefault(key, []).append(i)
-    return list(groups.values())
+        groups.setdefault(key, []).append(cfg)
+    return [tuple(group) for group in groups.values()]
 
 
 def estimate_many(cfgs, threads: int = 1) -> list[PlEstimate]:
@@ -494,28 +499,20 @@ def estimate_many(cfgs, threads: int = 1) -> list[PlEstimate]:
     batch's seed depends on its config and index alone.  The ancillas come
     from default_circuit().
     """
-    given = list(cfgs)
-    cfgs = list(dict.fromkeys(given))
-    accepted = {noise: accepted_distribution(default_circuit(), noise)
-                for noise in {cfg.noise for cfg in cfgs}}
-    tasks = [(members, b) for members in _groups(cfgs)
-             for b in range(-(-cfgs[members[0]].shots // BATCH_SHOTS))]
-    args = (
-        [tuple(cfgs[i] for i in members) for members, _ in tasks],
-        [b for _, b in tasks],
-        [accepted[cfgs[members[0]].noise].syndrome_law for members, _ in tasks],
-    )
+    cfgs = list(cfgs)
+    failures = dict.fromkeys(cfgs, 0)  # each distinct config once
+    syn_probs = {noise: accepted_distribution(default_circuit(), noise).syndrome_law
+                 for noise in {cfg.noise for cfg in cfgs}}
+    tasks = [(group, b, syn_probs[group[0].noise]) for group in _groups(failures)
+             for b in range(-(-group[0].shots // BATCH_SHOTS))]
     if threads <= 1 or len(tasks) <= 1:
-        counts = list(map(_simulate_batch, *args))
+        counts = list(starmap(_simulate_batch, tasks))
     else:
         # the platform's start method (fork on Linux): a spawned worker
         # re-imports numpy and the package, ~0.3 s and ~5 MB more per call
         with ProcessPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
-            counts = list(pool.map(_simulate_batch, *args))
-    failures = [0] * len(cfgs)
-    for (members, _), group_counts in zip(tasks, counts):
-        for i, count in zip(members, group_counts):
-            failures[i] += count
-    estimates = {cfg: PlEstimate.from_counts(f, cfg.shots)
-                 for f, cfg in zip(failures, cfgs)}
-    return [estimates[cfg] for cfg in given]
+            counts = list(pool.map(_simulate_batch, *zip(*tasks)))
+    for (group, _, _), group_counts in zip(tasks, counts):
+        for cfg, count in zip(group, group_counts):
+            failures[cfg] += count
+    return [PlEstimate.from_counts(failures[cfg], cfg.shots) for cfg in cfgs]

@@ -9,7 +9,8 @@ The sum is stated once, as the 15 terms of _pair_terms: table_contributions
 and pl_second_order read them at finite B, approx_coefficients reads their
 large-B limit d/m + c0 + c1*m.
 
-Per-qubit elementary rates (all per gate or per performed round):
+Per-qubit elementary rates (all per gate or per performed round), listed
+once, in this order, as _PER_QUBIT_RATES:
   eps_g  gate X error during one logical gate
   eps_s  wrong correction from a corrupted syndrome (ancilla or readout side)
   eps_o  erroneous syndrome that cancels the true one, so an existing error
@@ -25,10 +26,12 @@ import math
 import numbers
 import operator
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 # Ordered pairs of distinct qubits in the 7-qubit block: 7 * 6.
 ORDERED_QUBIT_PAIRS = 42
+# The per-qubit rates of AbstractRates, the ones a noise strength scales.
+_PER_QUBIT_RATES = ("eps_g", "eps_s", "eps_o", "eps_c", "eps_d")
 
 
 @dataclass(frozen=True)
@@ -49,7 +52,7 @@ class AbstractRates:
         round skipped), but the closed form cannot: gamma divides by
         (1 - eps_a)^2.
         """
-        for name in ("eps_g", "eps_s", "eps_o", "eps_c", "eps_d"):
+        for name in _PER_QUBIT_RATES:
             v = as_rate(name, getattr(self, name))
             if not 0.0 <= v <= 1.0:  # NaN fails too
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
@@ -58,14 +61,8 @@ class AbstractRates:
 
     def scaled(self, factor: float) -> "AbstractRates":
         """Scale every per-qubit rate (eps_a is a schedule knob, untouched)."""
-        return AbstractRates(
-            eps_g=self.eps_g * factor,
-            eps_a=self.eps_a,
-            eps_s=self.eps_s * factor,
-            eps_o=self.eps_o * factor,
-            eps_c=self.eps_c * factor,
-            eps_d=self.eps_d * factor,
-        )
+        return replace(self, **{name: getattr(self, name) * factor
+                                for name in _PER_QUBIT_RATES})
 
 
 def rates_at(coeffs: dict, eps_g: float, eps_a: float = 0.0) -> AbstractRates:
@@ -76,7 +73,7 @@ def rates_at(coeffs: dict, eps_g: float, eps_a: float = 0.0) -> AbstractRates:
     """
     as_rate("eps_g", eps_g)
     derived = {rate: coeffs[f"{rate}_per_eps_g"] * eps_g
-               for rate in ("eps_s", "eps_o", "eps_c", "eps_d")}
+               for rate in _PER_QUBIT_RATES[1:]}
     top = max(derived, key=derived.get)
     coeff = coeffs[f"{top}_per_eps_g"]
     if derived[top] > 1.0 and coeff > 1.0:
@@ -94,6 +91,14 @@ def as_rate(name: str, value) -> float:
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
         return float(value)
     raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
+def as_seed(name: str, value) -> int:
+    """`value` as a master seed; ValueError unless an integer in [0, 2^64)."""
+    seed = as_count(name, value)
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"{name} must be an integer in [0, 2^64)")
+    return seed
 
 
 def as_count(name: str, value) -> int:

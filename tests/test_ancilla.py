@@ -288,7 +288,7 @@ class TestMatchesOpByOpReference:
 
 class TestSingleFaultAudit:
     def test_default_schedule_audits_clean(self):
-        assert single_fault_audit() == []
+        assert single_fault_audit(default_circuit()) == []
 
     @pytest.mark.parametrize("circuit", sorted(CIRCUITS))
     def test_matches_forward_propagation(self, circuit):

@@ -109,12 +109,10 @@ class TestConfig:
             parse_config({"rates": {"source": "psychic"}})
         with pytest.raises(ConfigError):
             parse_config({"rates": {}})
-        cfg = parse_config(
-            {"rates": {"source": "explicit", "eps_s_per_eps_g": 3.0}}
-        )
-        # allowed at parse time; missing coefficients surface on use
-        with pytest.raises(ConfigError):
-            rate_coefficients(cfg)
+        # explicit coefficients are checked at parse time, as noise is
+        with pytest.raises(ConfigError, match="explicit rates missing"):
+            parse_config(
+                {"rates": {"source": "explicit", "eps_s_per_eps_g": 3.0}})
 
     def test_seed_validation(self):
         with pytest.raises(ConfigError):
@@ -413,6 +411,41 @@ def test_malformed_config_exits_3(tmp_path, capsys, command, base, section,
     assert len(err.splitlines()) == 1
     assert err.startswith("config error: ")
     assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+# (rates, error): each refused by parse_config, so by every subcommand
+BAD_RATES = [
+    ({"source": "explicit", **BUILTIN_COEFFS, "eps_s_per_eps_g": "abc",
+      "eps_o_per_eps_g": -1},
+     "explicit rates: eps_s_per_eps_g must be a real number, got 'abc'"),
+    ({"source": "explicit", "eps_s_per_eps_g": 3.0},
+     "explicit rates missing ['eps_o_per_eps_g', 'eps_c_per_eps_g', "
+     "'eps_d_per_eps_g']"),
+    ({"source": "calibrated"}, "rates source 'calibrated' needs a 'record' path"),
+]
+
+
+@pytest.mark.parametrize("rates,error", BAD_RATES,
+                         ids=["malformed", "missing-keys", "no-record"])
+@pytest.mark.parametrize("command,base", [
+    ("sweep", TINY_SWEEP), ("mmin", TINY_MMIN),
+    ("calibrate", TINY_CALIBRATION), ("check", {}),
+], ids=["sweep", "mmin", "calibrate", "check"])
+def test_bad_rates_exit_3_on_every_subcommand(tmp_path, capsys, monkeypatch,
+                                              command, base, rates, error):
+    # calibrate and check read no rates, and refuse them all the same
+    def no_work(*args, **kwargs):
+        raise AssertionError("ran with refused rates")
+
+    for name in ("estimate_many", "calibrate", "run_self_checks"):
+        monkeypatch.setattr(cli, name, no_work)
+    payload = dict(base, rates=rates)
+    assert main([command, "--config", write_config(tmp_path, payload),
+                 "--threads", "1", "--out", str(tmp_path / "out")]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: {error}\n"
+    assert captured.out == ""
     assert not (tmp_path / "out").exists()
 
 

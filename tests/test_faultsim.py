@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qec_cadence import faultsim, steane
+from qec_cadence import calibration, faultsim, steane
 from qec_cadence.ancilla import accepted_distribution, default_circuit
 from qec_cadence.calibration import measure_position_rates
 from qec_cadence.exact import (
@@ -112,6 +112,21 @@ class TestConfig:
             make_cfg(shots=0)
         with pytest.raises(ValueError):
             make_cfg(n_gates=0, m=1)
+
+    # the CLI's seed rule, an integer, not a bool, in [0, 2^64): refused
+    # before any draw
+    @pytest.mark.parametrize("seed", ["3", True, 2**64, -1, 1.5],
+                             ids=["str", "bool", "2**64", "negative", "float"])
+    @pytest.mark.parametrize("entry", ["TrajectoryConfig", "calibrate"])
+    def test_seed_outside_the_rule_is_refused(self, monkeypatch, entry, seed):
+        def never(*args, **kwargs):
+            raise AssertionError("sampled with a refused seed")
+        monkeypatch.setattr(calibration, "measure_position_rates", never)
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            if entry == "TrajectoryConfig":
+                make_cfg(master_seed=seed)
+            else:
+                calibration.calibrate(eps_g_grid=(1e-3,), shots=700, seed=seed)
 
     def test_estimate_fields_are_consistent(self):
         est = PlEstimate.from_counts(7, 100)
