@@ -95,8 +95,10 @@ def measure_position_rates(
 
     The ancillas come from default_circuit().  Only rounds with a fault
     are classified: a fault-free round corrects the single-error input to
-    no error, which is neither a logical flip nor weight 1.
+    no error, which is neither a logical flip nor weight 1.  `seed` must
+    be an integer in [0, 2^64), as calibrate's.
     """
+    as_seed("seed", seed)
     if as_count("shots", shots) < len(SINGLE_ERROR_INPUTS):
         raise ValueError("need at least one shot per input pattern")
     syn_probs = accepted_distribution(default_circuit(), noise).syndrome_law
@@ -154,12 +156,8 @@ class CalibrationResult:
     @property
     def coefficients(self) -> dict:
         """Rates per eps_g, fitted and exact, in the keys model.rates_at reads."""
-        return {
-            "eps_s_per_eps_g": self.eps_s_coeff,
-            "eps_o_per_eps_g": self.eps_o_coeff,
-            "eps_c_per_eps_g": EPS_C_COEFF,
-            "eps_d_per_eps_g": EPS_D_COEFF,
-        }
+        return {**BUILTIN_COEFFS, "eps_s_per_eps_g": self.eps_s_coeff,
+                "eps_o_per_eps_g": self.eps_o_coeff}
 
     def to_record(self) -> dict:
         return {

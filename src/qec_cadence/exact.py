@@ -68,8 +68,6 @@ _XOR16 = _XOR[:16, :16]
 
 def convolve_bit_flips(dist: np.ndarray, p: float) -> np.ndarray:
     """XOR-convolve an independent flip at rate p on each of the 7 qubits."""
-    if p == 0.0:
-        return dist
     for q in range(7):
         dist = (1.0 - p) * dist + p * dist[_IDX ^ (1 << q)]
     return dist
@@ -114,10 +112,11 @@ def block_output_distribution(
     gate_flip: float,
     eps_a: float,
 ) -> np.ndarray:
-    """One block: gate-layer flips, then the round performed w.p. 1-eps_a."""
+    """One block: gate-layer flips, then the round performed w.p. 1-eps_a.
+
+    eps_a is in [0, 1]; nothing checks it.
+    """
     dist = convolve_bit_flips(dist, gate_flip)
-    if eps_a >= 1.0:
-        return dist
     done = dist @ transfer
     return eps_a * dist + (1.0 - eps_a) * done
 

@@ -124,7 +124,7 @@ Z_95 = 1.96
 
 def derive_seed(master_seed: int, index: int) -> int:
     """Deterministic per-grid-point seed; independent of execution order."""
-    seq = np.random.SeedSequence([master_seed, index])
+    seq = np.random.SeedSequence([as_seed("master_seed", master_seed), index])
     return int(seq.generate_state(1, np.uint64)[0])
 
 
@@ -145,25 +145,19 @@ def wilson_interval(failures: int, shots: int) -> tuple[float, float]:
 
 
 @dataclass(frozen=True)
-class TrajectoryConfig:
-    n_gates: int
-    m: int
+class TrajectoryConfig(Schedule):
     eps_a: float
     noise: NoiseParams
     shots: int
     master_seed: int
 
     def __post_init__(self) -> None:
-        Schedule(n_gates=self.n_gates, m=self.m)
+        super().__post_init__()
         if not 0.0 <= as_rate("eps_a", self.eps_a) <= 1.0:
             raise ValueError(f"eps_a must be in [0, 1], got {self.eps_a}")
         if as_count("shots", self.shots) < 1:
             raise ValueError("shots must be >= 1")
         as_seed("master_seed", self.master_seed)
-
-    @property
-    def blocks(self) -> int:
-        return self.n_gates // self.m
 
 
 @dataclass(frozen=True)

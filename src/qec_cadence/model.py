@@ -119,8 +119,8 @@ def as_count(name: str, value) -> int:
 class Schedule:
     """N logical gates in blocks of m, one QEC opportunity per block.
 
-    The one check of an (n_gates, m) pair: the simulator and the exact
-    evaluator build a Schedule to validate theirs.
+    The one check of an (n_gates, m) pair: faultsim.TrajectoryConfig is a
+    Schedule, and the exact evaluator builds one to validate its pair.
     """
 
     n_gates: int

@@ -485,6 +485,36 @@ class TestShippedConfigs:
         assert len(lines) == 1 + 3 * 11
 
 
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+
+
+class TestGoldenOutputs:
+    """The shipped configs' seeded outputs, byte for byte.
+
+    Each file was written by the CLI on its config.  A change that moves
+    any of these bytes changes what every seeded run writes; it must be
+    made on purpose and logged, as TestStreamPin says.  The check stdout
+    is left out: its relative-error digits come from 16x16 BLAS products,
+    which change with the machine.
+    """
+
+    @pytest.mark.parametrize("argv, golden", [
+        (["sweep", "paper-sweep.json", "--seed", "5", "--threads", "1"],
+         "paper-sweep-seed5.csv"),
+        (["sweep", "paper-sweep.json", "--seed", "5", "--threads", "2"],
+         "paper-sweep-seed5.csv"),
+        (["mmin", "cadence-table.json"], "cadence-table.csv"),
+        (["calibrate", "calibration.json", "--seed", "11"],
+         "calibration-seed11.json"),
+    ], ids=["sweep-threads-1", "sweep-threads-2", "mmin", "calibrate"])
+    def test_output_is_the_golden_file(self, tmp_path, argv, golden):
+        command, config, *flags = argv
+        out = tmp_path / golden
+        assert main([command, "--config", str(CONFIGS_DIR / config), *flags,
+                     "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN_DIR / golden).read_bytes()
+
+
 class TestReadme:
     def test_python_quick_start_runs(self, capsys):
         # an API change must not leave the documented example broken

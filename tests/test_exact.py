@@ -230,6 +230,9 @@ class TestBlockEvolution:
         d = np.random.default_rng(2).dirichlet(np.ones(128))
         out = block_output_distribution(d, t, gate_flip=0.0, eps_a=1.0)
         assert np.array_equal(out, d)
+        # with gate flips, the gate layer's output to the bit
+        out = block_output_distribution(d, t, gate_flip=0.01, eps_a=1.0)
+        assert np.array_equal(out, convolve_bit_flips(d, 0.01))
 
     def test_never_skip_applies_the_transfer(self):
         t = syndrome_extraction_transfer(NoiseParams(eps=0.0))

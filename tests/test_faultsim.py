@@ -26,6 +26,7 @@ from qec_cadence.faultsim import (
     TrajectoryConfig,
     _event_positions,
     _simulate_batch,
+    derive_seed,
     estimate_many,
     round_output,
     sample_round_faults,
@@ -117,16 +118,22 @@ class TestConfig:
     # before any draw
     @pytest.mark.parametrize("seed", ["3", True, 2**64, -1, 1.5],
                              ids=["str", "bool", "2**64", "negative", "float"])
-    @pytest.mark.parametrize("entry", ["TrajectoryConfig", "calibrate"])
+    @pytest.mark.parametrize("entry", ["TrajectoryConfig", "calibrate",
+                                       "measure_position_rates", "derive_seed"])
     def test_seed_outside_the_rule_is_refused(self, monkeypatch, entry, seed):
         def never(*args, **kwargs):
             raise AssertionError("sampled with a refused seed")
         monkeypatch.setattr(calibration, "measure_position_rates", never)
+        monkeypatch.setattr(calibration, "sample_round_faults", never)
         with pytest.raises(ValueError, match="seed must be an integer"):
             if entry == "TrajectoryConfig":
                 make_cfg(master_seed=seed)
-            else:
+            elif entry == "calibrate":
                 calibration.calibrate(eps_g_grid=(1e-3,), shots=700, seed=seed)
+            elif entry == "measure_position_rates":
+                measure_position_rates(NoiseParams(eps=1e-3), 700, seed=seed)
+            else:
+                derive_seed(seed, 0)
 
     def test_estimate_fields_are_consistent(self):
         est = PlEstimate.from_counts(7, 100)
